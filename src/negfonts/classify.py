@@ -11,6 +11,8 @@ the degree-8 invariant and that residual together with the font counts of the
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
@@ -18,8 +20,8 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import MissingParameter, UnknownFamily, WrongArity
-from .fonts import enumerate_fonts, font_counts, font_det
+from .errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
+from .fonts import font_counts
 from .invariants import DEFAULT_TOL, aggregate_invariants, tau48_from_i48
 from .states import PureState, normalize
 
@@ -54,8 +56,8 @@ class ClassReport:
 def _cut_entangled(state: PureState, p: int, tol: float) -> bool:
     """Qubit p is entangled with the rest iff some font for p has nonzero det."""
     threshold = tol * state.norm ** 2
-    return any(abs(font_det(state, spec)) > threshold
-               for spec in enumerate_fonts(state.n_qubits, p))
+    moduli = _det_moduli(np.moveaxis(state.tensor(), p - 1, 0))
+    return bool(np.any(moduli > threshold))
 
 
 def _decide(i48_zero: bool, dres_zero: bool, delta_zero: bool,
@@ -102,10 +104,6 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
     if state.n_qubits != 4:
         raise WrongArity(f"classify requires n=4, got n={state.n_qubits}")
     notes: list[str] = []
-    if state.norm < 1e-12:
-        return ClassReport(UNENTANGLED, ClassSignature(True, True, True, 0, 0, 0,
-                                                       0.0, 0.0, 0.0),
-                           False, ("norm below 1e-12",), tol, 0.0)
     work = normalize(state)
 
     if not any(_cut_entangled(work, p, tol) for p in (1, 2, 3, 4)):
@@ -145,21 +143,28 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
 # local-unitary font minimization
 
 
-def _euler_su2(angles: np.ndarray) -> np.ndarray:
+def _euler_su2(a: float, b: float, g: float) -> np.ndarray:
     """Rz(a) @ Ry(b) @ Rz(g) written out in closed form."""
-    a, b, g = angles
-    cb, sb = np.cos(b / 2), np.sin(b / 2)
-    return np.array([
-        [np.exp(-0.5j * (a + g)) * cb, -np.exp(-0.5j * (a - g)) * sb],
-        [np.exp(0.5j * (a - g)) * sb, np.exp(0.5j * (a + g)) * cb],
-    ])
+    cb, sb = math.cos(b / 2), math.sin(b / 2)
+    plus, minus = cmath.exp(-0.5j * (a + g)), cmath.exp(-0.5j * (a - g))
+    return np.array([[plus * cb, -minus * sb],
+                     [minus.conjugate() * sb, plus.conjugate() * cb]])
 
 
-def _rotated_amps(amps: np.ndarray, n: int, thetas: np.ndarray) -> np.ndarray:
-    u = _euler_su2(thetas[0:3])
-    for q in range(1, n):
-        u = np.kron(u, _euler_su2(thetas[3 * q:3 * q + 3]))
-    return u @ amps
+def _kron2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[:, None, :, None] * v[None, :, None, :]).reshape(4, 4)
+
+
+def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Four-qubit amplitudes after one Euler-angle SU(2) per qubit.
+
+    With the amplitudes as a 4x4 matrix X (rows: qubits 1-2, columns: qubits
+    3-4), (U1 x U2 x U3 x U4) vec(X) is vec(L X R^T) for L = U1 x U2 and
+    R = U3 x U4, so the 16x16 product is never formed.
+    """
+    u1, u2, u3, u4 = (_euler_su2(*angles)
+                      for angles in np.reshape(thetas, (4, 3)).tolist())
+    return (_kron2(u1, u2) @ amps.reshape(4, 4) @ _kron2(u3, u4).T).reshape(-1)
 
 
 _TRIU_CACHE: dict[int, tuple] = {}
@@ -175,15 +180,17 @@ def _triu(cols: int):
     return _TRIU_CACHE[cols]
 
 
-def _det_moduli(amps: np.ndarray, n: int) -> np.ndarray:
-    """|det| of every canonical font for qubit 1.
+def _det_moduli(amps: np.ndarray) -> np.ndarray:
+    """|det| of every canonical font for the qubit on the leading axis.
 
-    These are exactly the 2x2 minors of the amplitude vector reshaped to a
-    2 x 2^(n-1) matrix (rows: qubit-1 bit, columns: the other qubits).
+    These are exactly the 2x2 minors of the amplitudes reshaped to a
+    2 x 2^(n-1) matrix (rows: that qubit's bit, columns: the other qubits),
+    one per column pair of the cached `triu` indices.
     """
     m = amps.reshape(2, -1)
-    (iu, _), g = _triu(m.shape[1]), np.outer(m[0], m[1])
-    return np.abs((g - g.T)[iu])
+    i0, i1 = _triu(m.shape[1])[0]
+    left, right = m[:, i0], m[:, i1]
+    return np.abs(left[0] * right[1] - right[0] * left[1])
 
 
 def _det_orders(n: int) -> np.ndarray:
@@ -287,12 +294,12 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     def surrogate(thetas: np.ndarray) -> float:
         # sqrt concentrates weight near zero, favoring sparse det profiles; the
         # amplitude term steers ties toward frames with few product terms
-        out = _rotated_amps(amps, n, thetas)
-        return float(np.sum(np.sqrt(_det_moduli(out, n)))
+        out = _rotated_amps(amps, thetas)
+        return float(np.sum(np.sqrt(_det_moduli(out)))
                      + 0.5 * np.sum(np.sqrt(np.abs(out) / norm)))
 
     def scored(vec: np.ndarray):
-        moduli = _det_moduli(vec, n)
+        moduli = _det_moduli(vec)
         count, total = _lexi_objective(moduli, threshold)
         n4 = int(np.sum(moduli[orders == n] > threshold))
         penalty = 0 if (n4 >= 1) == has_four_body else 1
@@ -309,7 +316,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
         # the count threshold, so moderate tolerances suffice
         result = minimize(surrogate, x0, method="Powell",
                           options={"maxiter": iters, "xtol": 1e-6, "ftol": 1e-8})
-        vec = _rotated_amps(amps, n, result.x)
+        vec = _rotated_amps(amps, result.x)
         candidate = scored(vec)
         if candidate < best:
             best = candidate
@@ -370,7 +377,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     drift = np.max(np.abs(_invariant_fingerprint(minimized)
                           - _invariant_fingerprint(state)))
     if drift > 1e-8:
-        raise AssertionError(f"font minimization drifted an invariant by {drift:.3e}")
+        raise SearchDrift(f"font minimization drifted an invariant by {drift:.3e}")
     return minimized, trace
 
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse/usage error, 3 property violation,
-4 unsupported qubit count.
+Exit codes: 0 success, 2 parse/usage error, 3 property violation (a failed
+check, or a font search that drifted an invariant), 4 unsupported qubit count.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     BadGrid,
     NegfontsError,
     ParseError,
+    SearchDrift,
     UnknownFamily,
     UnknownState,
     UnsupportedArity,
@@ -431,6 +432,9 @@ def main(argv=None) -> int:
     except (UnsupportedArity, WrongArity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARITY
+    except SearchDrift as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (ParseError, UnknownState, UnknownFamily, BadGrid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

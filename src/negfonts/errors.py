@@ -71,5 +71,9 @@ class ParseError(NegfontsError):
         super().__init__(message)
 
 
+class SearchDrift(NegfontsError):
+    """Font search left the local-unitary orbit: an invariant moved beyond 1e-8."""
+
+
 class UnsupportedArity(NegfontsError):
     """Command supports only 2-, 3-, or 4-qubit states."""

@@ -91,11 +91,16 @@ def make_state(n: int, amps: Iterable[complex]) -> PureState:
 
 
 def normalize(state: PureState) -> PureState:
-    """Rescale to unit Euclidean norm, preserving direction."""
-    norm = state.norm
-    if norm < _ZERO_FLOOR:
+    """Rescale to unit Euclidean norm, preserving direction.
+
+    Dividing by the largest modulus first keeps the squared norm clear of
+    underflow and overflow at any finite scale.
+    """
+    scale = float(np.max(np.abs(state.amps)))
+    if scale < _ZERO_FLOOR:
         raise ZeroVector("cannot normalize a zero vector")
-    vec = state.amps / norm
+    vec = state.amps / scale
+    vec /= np.linalg.norm(vec)
     vec.setflags(write=False)
     return PureState(state.n_qubits, vec, normalized=True)
 

@@ -1,23 +1,31 @@
 """Major-class assignment, font minimization, family closed forms."""
 
-from itertools import product
+import importlib
+from functools import reduce
+from itertools import count, product
 
 import numpy as np
 import pytest
 
 from helpers import scramble_special
 from negfonts import (
+    aggregate_invariants,
     catalog_state,
     classify,
     count_nonzero_fonts,
+    enumerate_fonts,
     family_expected,
+    font_det,
     font_minimize,
     make_state,
     normalize,
+    random_state,
     triple_invariants,
 )
-from negfonts.classify import _decide
-from negfonts.errors import MissingParameter, UnknownFamily, WrongArity
+from negfonts.classify import _decide, _det_moduli, _rotated_amps
+from negfonts.errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
+
+classify_module = importlib.import_module("negfonts.classify")
 
 
 def major(name, params=None, **kwargs):
@@ -48,6 +56,20 @@ def test_unentangled_states():
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
     pairpair = make_state(4, np.kron(bell, bell))
     assert classify(pairpair).major_class == "VII"
+
+
+@pytest.mark.parametrize("exponent", (-250, -100, -13, 0, 100, 200, 250))
+@pytest.mark.parametrize("name, expected", (("GHZ4", "IV"), ("W4", "VII"), ("C1", "III")))
+def test_classification_scale_free(name, expected, exponent):
+    base = catalog_state(name)
+    scaled = make_state(4, base.amps * 10.0 ** exponent)
+    assert classify(scaled).major_class == expected
+    ref = aggregate_invariants(normalize(base))
+    got = aggregate_invariants(normalize(scaled))
+    assert got.i4 == pytest.approx(ref.i4, abs=1e-12)
+    assert got.tau48 == pytest.approx(ref.tau48, abs=1e-12)
+    for a, b in zip(got.triples, ref.triples):
+        assert (a.i48, a.n_sq, a.dres) == pytest.approx((b.i48, b.n_sq, b.dres), abs=1e-12)
 
 
 def test_requires_four_qubits():
@@ -163,3 +185,49 @@ def test_classification_stable_under_scrambling():
             report = classify(scrambled, use_font_min=True, seed=trial,
                               restarts=restarts, iters=60)
             assert report.major_class == expected, (name, trial, report)
+
+
+def _euler_reference(a, b, g):
+    def rz(t):
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
+    return rz(a) @ ry @ rz(g)
+
+
+def _font_columns(spec):
+    """Column pair of a qubit-1 font in the 2 x 8 amplitude matrix."""
+    bits = dict(spec.spectators)
+    bits.update(zip([q for q in spec.flip_set if q != 1], spec.pattern))
+    col = sum(bits[q] << (4 - q) for q in (2, 3, 4))
+    flip = sum(1 << (4 - q) for q in spec.flip_set if q != 1)
+    return col, col ^ flip
+
+
+def test_surrogate_kernels_match_references():
+    specs = enumerate_fonts(4, 1)
+    pairs = list(zip(*np.triu_indices(8, k=1)))
+    positions = [pairs.index(tuple(sorted(_font_columns(spec)))) for spec in specs]
+    assert sorted(positions) == list(range(len(pairs)))
+
+    haar = random_state(4, 1301)
+    rng = np.random.default_rng(1301)
+    vectors = [haar.amps]
+    for _ in range(50):
+        thetas = rng.uniform(0, 2 * np.pi, 12)
+        u = reduce(np.kron, [_euler_reference(*thetas[3 * q:3 * q + 3]) for q in range(4)])
+        rotated = _rotated_amps(haar.amps, thetas)
+        np.testing.assert_allclose(rotated, u @ haar.amps, rtol=0, atol=1e-13)
+        vectors.append(rotated)
+    for vec in vectors:
+        state = make_state(4, vec)
+        expected = [abs(font_det(state, spec)) for spec in specs]
+        np.testing.assert_allclose(_det_moduli(vec)[positions], expected, rtol=0, atol=1e-15)
+
+
+def test_font_minimize_drift_is_typed(monkeypatch):
+    calls = count()
+    monkeypatch.setattr(classify_module, "_invariant_fingerprint",
+                        lambda state: np.full(9, float(next(calls))))
+    with pytest.raises(SearchDrift):
+        font_minimize(normalize(catalog_state("GHZ4")), restarts=1, iters=5)

@@ -1,6 +1,8 @@
 """Command-line interface: formats, round trips, exit codes."""
 
+import importlib
 import json
+from itertools import count
 
 import numpy as np
 import pytest
@@ -165,6 +167,21 @@ def test_classify_scrambled_with_font_min(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["class_report"]["major_class"] == "IV"
     assert doc["class_report"]["minimized_state_used"]
+
+
+def test_classify_font_min_drift_exit_3(tmp_path, capsys, monkeypatch):
+    calls = count()
+    monkeypatch.setattr(importlib.import_module("negfonts.classify"),
+                        "_invariant_fingerprint",
+                        lambda state: np.full(9, float(next(calls))))
+    path = tmp_path / "ghz4.txt"
+    write_state_file(str(path), normalize(catalog_state("GHZ4")))
+    code, out, err = run(capsys, "classify", "--in", str(path), "--font-min",
+                         "--restarts", "1", "--iters", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: font minimization drifted")
+    assert "Traceback" not in err
 
 
 def test_negativity_cli(tmp_path, capsys):
