@@ -12,13 +12,13 @@ the degree-8 invariant and that residual together with the font counts of the
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
 from .fonts import font_counts
@@ -197,9 +197,24 @@ def _det_orders(n: int) -> np.ndarray:
     return _triu(1 << (n - 1))[1]
 
 
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first font search.
+
+    scipy is by far the heaviest import of the package and only the search
+    needs it, so every other command starts without it.  It stays a module
+    attribute because `bench/tracer.py` wraps `classify.minimize` to time
+    Powell and count its evaluations.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 # single-qubit Clifford group, used as discrete refinement moves between
-# minimal frames that the continuous search cannot distinguish
-def _clifford_gates() -> list[np.ndarray]:
+# minimal frames that the continuous search cannot distinguish; built once,
+# on the first search
+@functools.cache
+def _clifford_gates() -> tuple[np.ndarray, ...]:
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     s = np.array([[1, 0], [0, 1j]])
     gates: list[np.ndarray] = [np.eye(2, dtype=complex)]
@@ -215,10 +230,9 @@ def _clifford_gates() -> list[np.ndarray]:
                     gates.append(c)
                     fresh.append(c)
         frontier = fresh
-    return gates
-
-
-_CLIFFORDS = _clifford_gates()
+    for g in gates:
+        g.setflags(write=False)     # cached: every search shares these arrays
+    return tuple(gates)
 
 
 def _phase_gauge(vec: np.ndarray, n: int, amp_floor: float) -> np.ndarray:
@@ -287,6 +301,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     threshold = tol * norm ** 2
     amps = state.amps
     orders = _det_orders(n)
+    moves = _clifford_gates()[1:]
     from .invariants import i48 as _i48
 
     has_four_body = abs(_i48(state)) > tol * norm ** 8
@@ -345,7 +360,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     for _round in range(16):
         improved = False
         for q in range(n):
-            for gate in _CLIFFORDS[1:]:
+            for gate in moves:
                 moved = clifford_moved(best_vec, q, gate)
                 candidate = scored(moved)
                 if strictly_better(candidate, best):
@@ -357,9 +372,9 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
             # through equal-objective frames, so try commuting pairs
             for qa in range(n):
                 for qb in range(qa + 1, n):
-                    for ga in _CLIFFORDS[1:]:
+                    for ga in moves:
                         va = clifford_moved(best_vec, qa, ga)
-                        for gb in _CLIFFORDS[1:]:
+                        for gb in moves:
                             candidate_vec = clifford_moved(va, qb, gb)
                             candidate = scored(candidate_vec)
                             if strictly_better(candidate, best):

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse/usage error, 3 property violation (a failed
-check, or a font search that drifted an invariant), 4 unsupported qubit count.
+check, a font search that drifted an invariant, or a NaN or infinite result),
+4 unsupported qubit count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from itertools import product
 
@@ -22,6 +24,7 @@ from .classify import SWEEP_FAMILIES, classify as run_classify, family_expected
 from .errors import (
     BadGrid,
     NegfontsError,
+    NonFiniteResult,
     ParseError,
     SearchDrift,
     UnknownFamily,
@@ -49,8 +52,11 @@ def _load(path: str) -> PureState:
 
 def _emit(doc: dict, out: str | None) -> None:
     if out:
+        # serialize first: a report that cannot be written leaves no file
+        text = io.StringIO()
+        stateio.dump_report(doc, text)
         with open(out, "w", encoding="utf-8") as fh:
-            stateio.dump_report(doc, fh)
+            fh.write(text.getvalue())
     else:
         stateio.dump_report(doc, sys.stdout)
 
@@ -432,7 +438,7 @@ def main(argv=None) -> int:
     except (UnsupportedArity, WrongArity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARITY
-    except SearchDrift as exc:
+    except (SearchDrift, NonFiniteResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (ParseError, UnknownState, UnknownFamily, BadGrid) as exc:

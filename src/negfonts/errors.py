@@ -75,5 +75,9 @@ class SearchDrift(NegfontsError):
     """Font search left the local-unitary orbit: an invariant moved beyond 1e-8."""
 
 
+class NonFiniteResult(NegfontsError):
+    """A computed value is NaN or infinite, so no report is written."""
+
+
 class UnsupportedArity(NegfontsError):
     """Command supports only 2-, 3-, or 4-qubit states."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from .errors import QubitOutOfRange, SpecMismatch, WrongArity
 from .states import PureState, index_of_bits
 
@@ -133,7 +135,14 @@ def d4(state: PureState, i3: int, i4: int) -> complex:
 
 
 def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_TOL) -> int:
-    """Canonical order-K fonts whose |det| exceeds tol * ||amps||^2."""
+    """Canonical order-K fonts whose |det| exceeds tol * ||amps||^2.
+
+    Unless the state is already normalized, the test runs on the amplitudes
+    divided by their largest modulus, so dets neither overflow nor underflow
+    at any finite scale.
+    """
+    if not state.normalized:
+        state = PureState(state.n_qubits, state.amps / np.max(np.abs(state.amps)))
     threshold = tol * state.norm ** 2
     return sum(1 for spec in enumerate_fonts(state.n_qubits, p, k)
                if abs(font_det(state, spec)) > threshold)

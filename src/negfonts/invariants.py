@@ -22,7 +22,7 @@ PAIRS4 = tuple(combinations((1, 2, 3, 4), 2))
 
 def is_negligible(value, degree: int, norm: float, tol: float = DEFAULT_TOL) -> bool:
     """Degree-aware zero test: |value| <= tol * norm**degree."""
-    return abs(value) <= tol * norm ** degree
+    return bool(abs(value) <= tol * norm ** degree)
 
 
 def _require(state: PureState, n: int, op: str) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadK, NotHermitian, QubitOutOfRange
+from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
 from .states import PureState
 
 GLOBAL = "global"
@@ -78,6 +78,8 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteResult("matrix has NaN or infinite entries")
     if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
         raise NotHermitian("matrix is not Hermitian within 1e-10")
     return np.linalg.eigvalsh(m)

@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import ParseError, ZeroVector
+from .errors import NonFiniteResult, ParseError, ZeroVector
 from .states import PureState, bits_of_index, index_of_bits, make_state
 
 SCHEMA = "negfonts/report-v1"
@@ -193,5 +193,9 @@ def wrap_report(payload: dict, *, input_desc: dict, tol: float,
 
 
 def dump_report(doc: dict, stream: IO[str]) -> None:
-    json.dump(doc, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """Write the report as JSON; nothing is written if a value is NaN or infinite."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a NaN or infinite value ({exc})") from None
+    stream.write(text + "\n")

@@ -55,7 +55,20 @@ class PureState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """Euclidean norm, finite whenever it fits in a float.
+
+        If the plain sum of squares underflows to 0 or overflows to inf, the
+        norm is taken on the amplitudes divided by their largest modulus.  It is
+        a numpy float, so a degree-d threshold `tol * norm ** d` saturates to inf
+        instead of raising OverflowError.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(self.amps)
+            if norm == 0.0 or np.isinf(norm):
+                scale = np.max(np.abs(self.amps))
+                if scale > 0.0:
+                    norm = scale * np.linalg.norm(self.amps / scale)
+        return np.float64(norm)
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to (2,)*n; axis k-1 is qubit k."""

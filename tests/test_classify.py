@@ -1,6 +1,7 @@
 """Major-class assignment, font minimization, family closed forms."""
 
 import importlib
+import warnings
 from functools import reduce
 from itertools import count, product
 
@@ -15,6 +16,7 @@ from negfonts import (
     count_nonzero_fonts,
     enumerate_fonts,
     family_expected,
+    font_counts,
     font_det,
     font_minimize,
     make_state,
@@ -70,6 +72,18 @@ def test_classification_scale_free(name, expected, exponent):
     assert got.tau48 == pytest.approx(ref.tau48, abs=1e-12)
     for a, b in zip(got.triples, ref.triples):
         assert (a.i48, a.n_sq, a.dres) == pytest.approx((b.i48, b.n_sq, b.dres), abs=1e-12)
+
+
+@pytest.mark.parametrize("exponent", (-250, -100, -13, 0, 100, 200, 250))
+@pytest.mark.parametrize("name", ("GHZ4", "W4", "C1"))
+def test_font_counts_scale_free(name, exponent):
+    base = catalog_state(name)
+    scaled = make_state(4, base.amps * 10.0 ** exponent)
+    assert scaled.norm == pytest.approx(base.norm * 10.0 ** exponent, rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no overflow or underflow on the way
+        for p in (1, 2, 3, 4):
+            assert font_counts(scaled, p) == font_counts(normalize(base), p)
 
 
 def test_requires_four_qubits():

@@ -184,6 +184,23 @@ def test_classify_font_min_drift_exit_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ("GHZ4", "GHZ3", "Bell"))
+def test_invariants_non_finite_exit_3(tmp_path, capsys, name):
+    # squares of 1e200 overflow, so the raw-coefficient report cannot be finite
+    base = catalog_state(name)
+    path = tmp_path / "huge.txt"
+    write_state_file(str(path), make_state(base.n_qubits, base.amps * 1e200))
+    report = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "invariants", "--in", str(path), "--no-normalize",
+                             "--out", str(report))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 def test_negativity_cli(tmp_path, capsys):
     bell = tmp_path / "bell.txt"
     run(capsys, "catalog", "Bell", "--out", str(bell))

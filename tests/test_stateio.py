@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from negfonts import make_state, random_state
-from negfonts.errors import ParseError, ZeroVector
-from negfonts.stateio import cnum, read_state, write_state
+from negfonts.errors import NonFiniteResult, ParseError, ZeroVector
+from negfonts.stateio import cnum, dump_report, read_state, write_state
 
 
 def round_trip(state):
@@ -66,3 +66,11 @@ def test_write_skips_zero_amplitudes():
     write_state(buf, make_state(3, amps))
     lines = [ln for ln in buf.getvalue().splitlines() if not ln.startswith(("#", "n"))]
     assert lines == ["011 1 0"]
+
+
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+def test_dump_report_rejects_non_finite(value):
+    buf = io.StringIO()
+    with pytest.raises(NonFiniteResult):
+        dump_report({"ok": 1.0, "bad": cnum(complex(value, 0.0))}, buf)
+    assert buf.getvalue() == ""
