@@ -11,9 +11,7 @@ the degree-8 invariant and that residual together with the font counts of the
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
@@ -23,6 +21,7 @@ import numpy as np
 from .errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
 from .fonts import font_counts
 from .invariants import DEFAULT_TOL, aggregate_invariants, tau48_from_i48
+from .powell import minimize
 from .states import PureState, normalize
 
 MAJOR_CLASSES = ("I", "II", "III", "IV", "V", "VI", "VII")
@@ -56,7 +55,7 @@ class ClassReport:
 def _cut_entangled(state: PureState, p: int, tol: float) -> bool:
     """Qubit p is entangled with the rest iff some font for p has nonzero det."""
     threshold = tol * state.norm ** 2
-    moduli = _det_moduli(np.moveaxis(state.tensor(), p - 1, 0))
+    moduli = _det_moduli(np.moveaxis(state.tensor(), p - 1, 0).reshape(-1))
     return bool(np.any(moduli > threshold))
 
 
@@ -143,28 +142,66 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
 # local-unitary font minimization
 
 
-def _euler_su2(a: float, b: float, g: float) -> np.ndarray:
-    """Rz(a) @ Ry(b) @ Rz(g) written out in closed form."""
-    cb, sb = math.cos(b / 2), math.sin(b / 2)
-    plus, minus = cmath.exp(-0.5j * (a + g)), cmath.exp(-0.5j * (a - g))
-    return np.array([[plus * cb, -minus * sb],
-                     [minus.conjugate() * sb, plus.conjugate() * cb]])
+def _exponent_table() -> np.ndarray:
+    """(12, 36) map from Euler angles to the exponents of `_rotated_amps`.
+
+    exp(1j * thetas @ table) holds the phase Rz(g) puts on each basis index,
+    the phase Rz(a) puts on each basis index, and exp(1j * b / 2) of each
+    qubit.  Rz(t) on qubit q multiplies amplitude k by exp(1j * t * (bit - 1/2))
+    for bit q of k.
+    """
+    half_bits = ((np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1) - 0.5
+    table = np.zeros((4, 3, 36))
+    table[:, 2, :16] = half_bits
+    table[:, 0, 16:32] = half_bits
+    table[np.arange(4), 1, 32 + np.arange(4)] = 0.5
+    return table.reshape(12, 36)
 
 
-def _kron2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u[:, None, :, None] * v[None, :, None, :]).reshape(4, 4)
+_EXPONENTS = _exponent_table()
+
+
+def _ry_kron_index(qa: int, qb: int) -> np.ndarray:
+    """Where the two factors of each entry of Ry_qa x Ry_qb sit in the table
+    (cos of qubits 1-4, sin of qubits 1-4, -sin of qubits 1-4) of half angles."""
+    ry = np.array([[0, 8], [4, 0]])         # [[cos, -sin], [sin, cos]]
+    r, c = np.arange(4)[:, None], np.arange(4)
+    return np.stack([ry[r >> 1, c >> 1] + qa, ry[r & 1, c & 1] + qb])
+
+
+# L = Ry1 x Ry2 and R^T = (Ry3 x Ry4)^T, as pairs of factor indices
+_KRON = np.stack([_ry_kron_index(0, 1), _ry_kron_index(2, 3).swapaxes(-1, -2)])
+
+# Rz(a) is the outermost factor of each qubit's rotation and only puts phases
+# on the amplitudes, which changes no |minor| and no |amplitude|: the
+# surrogate and the objective are flat along the four a angles, so Powell
+# searches the other eight directions and the a angles keep their start values
+_SEARCHED = np.eye(12)[np.arange(12) % 3 != 0]
 
 
 def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Four-qubit amplitudes after one Euler-angle SU(2) per qubit.
+    """Four-qubit amplitudes after Rz(a) Ry(b) Rz(g) on each qubit.
 
-    With the amplitudes as a 4x4 matrix X (rows: qubits 1-2, columns: qubits
-    3-4), (U1 x U2 x U3 x U4) vec(X) is vec(L X R^T) for L = U1 x U2 and
-    R = U3 x U4, so the 16x16 product is never formed.
+    `thetas` holds (a, b, g) for qubits 1-4 on its last axis: (..., 12) ->
+    (..., 16).  The z-rotations only multiply amplitudes by phases, Rz(g)
+    before and Rz(a) after the y-rotations; one `exp` of the angles times
+    `_EXPONENTS` gives those phases and the half-angle cosines and sines.
+    The y-rotations are real: with the amplitudes as a 4x4 matrix X (rows:
+    qubits 1-2, columns: qubits 3-4), (Y1 x Y2 x Y3 x Y4) vec(X) is
+    vec(L X R^T) for L = Y1 x Y2 and R = Y3 x Y4, so the 16x16 product is
+    never formed.
     """
-    u1, u2, u3, u4 = (_euler_su2(*angles)
-                      for angles in np.reshape(thetas, (4, 3)).tolist())
-    return (_kron2(u1, u2) @ amps.reshape(4, 4) @ _kron2(u3, u4).T).reshape(-1)
+    thetas = np.asarray(thetas, dtype=float)
+    lead = thetas.shape[:-1]
+    # an elementwise product and sum, not BLAS: each row's exponents then do
+    # not depend on how many rows share the call
+    z = np.exp(1j * (thetas[..., None] * _EXPONENTS).sum(-2))
+    half = z[..., 32:]
+    factors = np.concatenate([half.real, half.imag, -half.imag], -1)[..., _KRON]
+    kron = factors[..., 0, :, :] * factors[..., 1, :, :]
+    x = (z[..., :16] * amps).reshape(lead + (4, 4))
+    rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
+    return z[..., 16:32] * rotated.reshape(lead + (16,))
 
 
 _TRIU_CACHE: dict[int, tuple] = {}
@@ -172,49 +209,84 @@ _TRIU_CACHE: dict[int, tuple] = {}
 
 def _triu(cols: int):
     if cols not in _TRIU_CACHE:
-        iu = np.triu_indices(cols, k=1)
+        i0, i1 = np.triu_indices(cols, k=1)
         # coherence order of each minor: flips among the non-transposed qubits + 1
-        orders = np.array([bin(int(a) ^ int(b)).count("1") + 1
-                           for a, b in zip(*iu)])
-        _TRIU_CACHE[cols] = (iu, orders)
+        orders = np.array([bin(int(a) ^ int(b)).count("1") + 1 for a, b in zip(i0, i1)])
+        # minor (i0, i1) of a 2 x cols matrix m is m[0,i0] m[1,i1] - m[0,i1] m[1,i0];
+        # these are the four factors as indices into m flattened
+        _TRIU_CACHE[cols] = (np.stack([i0, i1 + cols, i1, i0 + cols]), orders)
     return _TRIU_CACHE[cols]
 
 
 def _det_moduli(amps: np.ndarray) -> np.ndarray:
-    """|det| of every canonical font for the qubit on the leading axis.
+    """|det| of every canonical font for the qubit of the leading bit.
 
-    These are exactly the 2x2 minors of the amplitudes reshaped to a
-    2 x 2^(n-1) matrix (rows: that qubit's bit, columns: the other qubits),
-    one per column pair of the cached `triu` indices.
+    These are exactly the 2x2 minors of each amplitude vector on the last
+    axis reshaped to a 2 x 2^(n-1) matrix (rows: that qubit's bit, columns:
+    the other qubits), one per column pair of the cached `triu` indices.
     """
-    m = amps.reshape(2, -1)
-    i0, i1 = _triu(m.shape[1])[0]
-    left, right = m[:, i0], m[:, i1]
-    return np.abs(left[0] * right[1] - right[0] * left[1])
+    f = amps[..., _triu(amps.shape[-1] // 2)[0]]
+    return np.abs(f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :])
 
 
 def _det_orders(n: int) -> np.ndarray:
     return _triu(1 << (n - 1))[1]
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on the first font search.
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    # a running sum adds each row's entries in order, while the order of
+    # `sum` depends on how many rows share the call; a restart's search must
+    # not depend on which other restarts are still running
+    return np.cumsum(x, axis=-1)[..., -1]
 
-    scipy is by far the heaviest import of the package and only the search
-    needs it, so every other command starts without it.  It stays a module
-    attribute because `bench/tracer.py` wraps `classify.minimize` to time
-    Powell and count its evaluations.
+
+def _surrogate(amps: np.ndarray, norm: float, thetas: np.ndarray) -> np.ndarray:
+    """The smooth objective Powell minimizes, (..., 12) angles -> (...) values."""
+    # sqrt concentrates weight near zero, favoring sparse det profiles; the
+    # amplitude term steers ties toward frames with few product terms
+    out = _rotated_amps(amps, thetas)
+    return (_row_sums(np.sqrt(_det_moduli(out)))
+            + 0.5 * _row_sums(np.sqrt(np.abs(out) / norm)))
+
+
+def _scores(vecs: np.ndarray, tol: float, norm: float,
+            has_four_body: bool) -> np.ndarray:
+    """The lexicographic objective of each vector on the last axis, as floats.
+
+    Fields: (fonts above tolerance, 0 if 4-way-font presence agrees with the
+    degree-8 invariant else 1, sum of det moduli, nonzero amplitudes).
     """
-    from scipy.optimize import minimize as scipy_minimize
+    n = vecs.shape[-1].bit_length() - 1
+    moduli = _det_moduli(vecs)
+    above = moduli > tol * norm ** 2
+    penalty = above[..., _det_orders(n) == n].any(-1) != has_four_body
+    support = (np.abs(vecs) > tol * norm).sum(-1)
+    return np.stack([above.sum(-1), penalty, _row_sums(moduli), support], -1).astype(float)
 
-    return scipy_minimize(fun, x0, **kwargs)
+
+def _row(score: np.ndarray) -> tuple[int, int, float, int]:
+    count, penalty, total, support = score.tolist()
+    return int(count), int(penalty), total, int(support)
+
+
+def _better(scores: np.ndarray, ref: tuple, floor: float) -> np.ndarray:
+    """Which rows of `scores` are strictly better than `ref`.
+
+    Integer fields compare exactly; the modulus sum needs a noise floor,
+    otherwise gauge moves keep "improving" by rounding error.
+    """
+    count, penalty, total, support = scores.T
+    fewer = (count < ref[0]) | ((count == ref[0]) & (penalty < ref[1]))
+    tied = (count == ref[0]) & (penalty == ref[1])
+    by_sum = np.where(np.abs(total - ref[2]) > floor, total < ref[2], support < ref[3])
+    return fewer | (tied & by_sum)
 
 
 # single-qubit Clifford group, used as discrete refinement moves between
 # minimal frames that the continuous search cannot distinguish; built once,
 # on the first search
 @functools.cache
-def _clifford_gates() -> tuple[np.ndarray, ...]:
+def _clifford_gates() -> np.ndarray:
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     s = np.array([[1, 0], [0, 1j]])
     gates: list[np.ndarray] = [np.eye(2, dtype=complex)]
@@ -230,9 +302,81 @@ def _clifford_gates() -> tuple[np.ndarray, ...]:
                     gates.append(c)
                     fresh.append(c)
         frontier = fresh
-    for g in gates:
-        g.setflags(write=False)     # cached: every search shares these arrays
-    return tuple(gates)
+    table = np.stack(gates)
+    table.setflags(write=False)     # cached: every search shares this array
+    return table
+
+
+def _apply_gates(vecs: np.ndarray, q: int, gates: np.ndarray) -> np.ndarray:
+    """Each of `gates` (m, 2, 2) on qubit q (0-based): (..., 2^n) -> (..., m, 2^n)."""
+    size = vecs.shape[-1]
+    split = vecs.reshape(vecs.shape[:-1] + (1, 1 << q, 2, size >> (q + 1)))
+    return (gates[:, None] @ split).reshape(vecs.shape[:-1] + (len(gates), size))
+
+
+def _accept_improvements(vec, best, candidates, block: int, scores, floor: float):
+    """One greedy pass: accept, in loop order, each strictly better candidate.
+
+    `candidates(v)` lists the moves of the pass from v in loop order, in
+    blocks of `block` moves that the loop builds from the best vector at the
+    start of the block.  All remaining moves are built as one batch and
+    scored together.  After an acceptance, the rest of its block is judged against the
+    new best, and the later blocks are rebuilt from the new best vector, so
+    the pass accepts exactly the moves a move-by-move loop accepts.
+    Returns (vec, best, improved).
+    """
+    improved = False
+    start = 0
+    vecs = candidates(vec)
+    while len(vecs):
+        # scored in slices: a pair pass holds 3174 moves, and their minors
+        # at once would take ~10 MB
+        rows = np.concatenate([scores(part)
+                               for part in np.split(vecs, range(512, len(vecs), 512))])
+        i, stop = 0, len(vecs)
+        while True:
+            hits = np.flatnonzero(_better(rows[i:stop], best, floor))
+            if not hits.size:
+                break
+            k = i + int(hits[0])
+            vec, best, improved = vecs[k], _row(rows[k]), True
+            i = k + 1
+            stop = ((start + k) // block + 1) * block - start
+        start += stop
+        vecs = candidates(vec)[start:] if stop < len(vecs) else vecs[:0]
+    return vec, best, improved
+
+
+def _clifford_refine(vec: np.ndarray, best: tuple, scores, floor: float):
+    """Greedy hill-climb over single-qubit Clifford moves, at most 16 rounds.
+
+    Each round tries every (qubit, gate) move in turn.  A round that improves
+    nothing while the frame is signature-inconsistent (penalty 1) tries
+    pairs of moves on two qubits: single moves can pass through
+    equal-objective frames.  Returns (vec, best, objective after each round).
+    """
+    moves = _clifford_gates()[1:]
+    n = vec.size.bit_length() - 1
+    pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]
+
+    def singles(v):
+        return np.concatenate([_apply_gates(v, q, moves) for q in range(n)])
+
+    def doubles(v):
+        # block (qa, qb, ga) holds the moves gb on qb after ga on qa
+        return np.concatenate([_apply_gates(_apply_gates(v, qa, moves), qb, moves)
+                               .reshape(-1, v.size) for qa, qb in pairs])
+
+    rounds = []
+    for _round in range(16):
+        vec, best, improved = _accept_improvements(vec, best, singles, 1, scores, floor)
+        if not improved and best[1] != 0:
+            vec, best, improved = _accept_improvements(vec, best, doubles, len(moves),
+                                                       scores, floor)
+        rounds.append(best)
+        if not improved:
+            break
+    return vec, best, rounds
 
 
 def _phase_gauge(vec: np.ndarray, n: int, amp_floor: float) -> np.ndarray:
@@ -262,10 +406,6 @@ def _phase_gauge(vec: np.ndarray, n: int, amp_floor: float) -> np.ndarray:
     return vec
 
 
-def _lexi_objective(moduli: np.ndarray, threshold: float) -> tuple[int, float]:
-    return int(np.sum(moduli > threshold)), float(np.sum(moduli))
-
-
 def _invariant_fingerprint(state: PureState) -> np.ndarray:
     from .invariants import i4, triple_invariants
 
@@ -280,9 +420,10 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
                   seed: int = 0, tol: float = DEFAULT_TOL):
     """Best-effort search for a local-unitary frame with the fewest nonzero fonts.
 
-    Derivative-free Powell search over three Euler angles per qubit with random
-    restarts, followed by a greedy hill-climb over single-qubit Clifford moves.
-    The accepted objective is lexicographic over the canonical fonts of qubit 1:
+    Derivative-free Powell search over the eight Euler angles that can change
+    the objective (`_SEARCHED`), from `restarts` starts run in lock-step,
+    followed by a greedy hill-climb over single-qubit Clifford moves.  The
+    accepted objective is lexicographic over the canonical fonts of qubit 1:
 
         (count above tolerance,
          0 if 4-way-font presence agrees with the degree-8 invariant else 1,
@@ -292,101 +433,48 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     Minimal frames with different coherence-order splits exist on one orbit;
     the consistency flag and the product-term count pick the one that can be
     canonical.  Returns (state, trace); trace rows are (step, *objective) for
-    the accepted best and never increase.
+    the accepted best and never increase: row 0 is the input, then one row
+    per restart and one per Clifford round.
     """
     if state.n_qubits != 4:
         raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
     n = state.n_qubits
     norm = state.norm
-    threshold = tol * norm ** 2
     amps = state.amps
-    orders = _det_orders(n)
-    moves = _clifford_gates()[1:]
     from .invariants import i48 as _i48
 
-    has_four_body = abs(_i48(state)) > tol * norm ** 8
+    has_four_body = bool(abs(_i48(state)) > tol * norm ** 8)
 
-    def surrogate(thetas: np.ndarray) -> float:
-        # sqrt concentrates weight near zero, favoring sparse det profiles; the
-        # amplitude term steers ties toward frames with few product terms
-        out = _rotated_amps(amps, thetas)
-        return float(np.sum(np.sqrt(_det_moduli(out)))
-                     + 0.5 * np.sum(np.sqrt(np.abs(out) / norm)))
-
-    def scored(vec: np.ndarray):
-        moduli = _det_moduli(vec)
-        count, total = _lexi_objective(moduli, threshold)
-        n4 = int(np.sum(moduli[orders == n] > threshold))
-        penalty = 0 if (n4 >= 1) == has_four_body else 1
-        support = int(np.sum(np.abs(vec) > tol * norm))
-        return count, penalty, total, support
+    def scores(vecs: np.ndarray) -> np.ndarray:
+        return _scores(vecs, tol, norm, has_four_body)
 
     best_vec = amps
-    best = scored(best_vec)
+    best = _row(scores(amps))
     trace = [(0, *best)]
-    for restart in range(restarts):
-        rng = np.random.default_rng((seed, restart))
-        x0 = np.zeros(12) if restart == 0 else rng.uniform(0, 2 * np.pi, 12)
-        # the sqrt surrogate keeps shrinking visibly until dets sit well below
-        # the count threshold, so moderate tolerances suffice
-        result = minimize(surrogate, x0, method="Powell",
-                          options={"maxiter": iters, "xtol": 1e-6, "ftol": 1e-8})
-        vec = _rotated_amps(amps, result.x)
-        candidate = scored(vec)
+    starts = np.zeros((restarts, 12))
+    for restart in range(1, restarts):
+        starts[restart] = np.random.default_rng((seed, restart)).uniform(0, 2 * np.pi, 12)
+    # the sqrt surrogate keeps shrinking visibly until dets sit well below
+    # the count threshold, so moderate tolerances suffice
+    result = minimize(lambda thetas: _surrogate(amps, norm, thetas), starts,
+                      maxiter=iters, xtol=1e-6, ftol=1e-8, direc=_SEARCHED)
+    vecs = _rotated_amps(amps, result.x)
+    for restart, (vec, score) in enumerate(zip(vecs, scores(vecs))):
+        candidate = _row(score)
         if candidate < best:
             best = candidate
             best_vec = vec
         trace.append((restart + 1, *best))
-
-    def strictly_better(cand, ref) -> bool:
-        # integer fields compare exactly; the modulus sum needs a noise floor,
-        # otherwise gauge moves keep "improving" by rounding error
-        if cand[:2] != ref[:2]:
-            return cand[:2] < ref[:2]
-        if abs(cand[2] - ref[2]) > 1e-9 * norm ** 2:
-            return cand[2] < ref[2]
-        return cand[3] < ref[3]
-
-    def clifford_moved(vec: np.ndarray, q: int, gate: np.ndarray) -> np.ndarray:
-        psi = vec.reshape((2,) * n)
-        return np.moveaxis(np.tensordot(gate, psi, axes=([1], [q])), 0, q).reshape(-1)
 
     # discrete refinement: single-qubit Clifford moves jump between minimal
     # frames whose basins the continuous search does not connect; they need a
     # real amplitude gauge to line the phases up.  The gauge only touches
     # phases, so the objective is unchanged and it is safe to apply always.
     best_vec = _phase_gauge(best_vec, n, tol * norm)
-    step = restarts
-    for _round in range(16):
-        improved = False
-        for q in range(n):
-            for gate in moves:
-                moved = clifford_moved(best_vec, q, gate)
-                candidate = scored(moved)
-                if strictly_better(candidate, best):
-                    best = candidate
-                    best_vec = moved
-                    improved = True
-        if not improved and best[1] != 0:
-            # stalled in a signature-inconsistent frame: single moves can pass
-            # through equal-objective frames, so try commuting pairs
-            for qa in range(n):
-                for qb in range(qa + 1, n):
-                    for ga in moves:
-                        va = clifford_moved(best_vec, qa, ga)
-                        for gb in moves:
-                            candidate_vec = clifford_moved(va, qb, gb)
-                            candidate = scored(candidate_vec)
-                            if strictly_better(candidate, best):
-                                best = candidate
-                                best_vec = candidate_vec
-                                improved = True
-        step += 1
-        trace.append((step, *best))
-        if not improved:
-            break
+    best_vec, best, rounds = _clifford_refine(best_vec, best, scores, 1e-9 * norm ** 2)
+    trace.extend((restarts + 1 + k, *row) for k, row in enumerate(rounds))
 
-    final = np.ascontiguousarray(best_vec)
+    final = np.array(best_vec)
     final.setflags(write=False)
     minimized = PureState(n, final, state.normalized)
     drift = np.max(np.abs(_invariant_fingerprint(minimized)

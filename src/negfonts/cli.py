@@ -434,7 +434,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflowed or undefined intermediates surface as NonFiniteResult
+        # (exit 3), so numpy's own RuntimeWarnings would only add noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (UnsupportedArity, WrongArity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARITY

@@ -1,0 +1,241 @@
+"""Powell's direction-set minimizer in numpy, run over many starts in lock-step.
+
+A step-for-step port of the unbounded path of scipy's
+`minimize(method="Powell")` (scipy 1.17: `bracket`, `Brent.optimize`,
+`_linesearch_powell` and `_minimize_powell`).  With the identity direction
+set, one start makes the same evaluations as scipy and ends at the same point.
+Bounds, callbacks and `maxfev` are not ported.
+
+Each stage is a generator: it yields the point it needs evaluated and is sent
+back the value there.  `minimize` keeps one Powell generator per start, stacks
+the points they are waiting for, evaluates them in one call of a batched
+objective and sends the values back, so R starts cost one vectorized call per
+step instead of R scalar ones.
+
+References: M. J. D. Powell, Comput. J. 7, 155 (1964); R. P. Brent,
+Algorithms for Minimization without Derivatives (Prentice-Hall, 1973).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+_GOLD = 1.618034            # bracket growth ratio, (1 + sqrt(5)) / 2
+_CG = 0.3819660             # golden-section fraction, (3 - sqrt(5)) / 2
+_MINTOL = 1.0e-11           # absolute part of Brent's tolerance
+_VERYSMALL = 1e-21          # guards the parabolic-extrapolation denominator
+
+
+def _bracket(line, grow_limit: float = 110.0, maxiter: int = 1000):
+    """Walk downhill from alpha = 0, 1 until a minimum is bracketed.
+
+    Returns (xa, xb, xc, fa, fb, fc, valid); `valid` is False when the walk
+    stopped without a proper bracket.
+    """
+    xa, xb = 0.0, 1.0
+    fa = yield line(xa)
+    fb = yield line(xb)
+    if fa < fb:
+        xa, xb = xb, xa
+        fa, fb = fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = yield line(xc)
+    iterations = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _VERYSMALL if abs(val) < _VERYSMALL else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + grow_limit * (xc - xb)
+        if iterations > maxiter:
+            raise RuntimeError("no valid bracket was found before the iteration limit")
+        iterations += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = yield line(w)
+            if fw < fc:
+                xa, xb = xb, w
+                fa, fb = fb, fw
+                break
+            if fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = yield line(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = yield line(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = yield line(w)
+            if fw < fc:
+                xb, xc = xc, w
+                w = xc + _GOLD * (xc - xb)
+                fb, fc = fc, fw
+                fw = yield line(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = yield line(w)
+        xa, xb, xc = xb, xc, w
+        fa, fb, fc = fb, fc, fw
+    valid = (((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+             and (xa < xb < xc or xc < xb < xa)
+             and all(math.isfinite(x) for x in (xa, xb, xc)))
+    return xa, xb, xc, fa, fb, fc, valid
+
+
+def _brent(line, tol: float, maxiter: int = 500):
+    """Brent's minimization along `line`; returns (alpha, f at alpha)."""
+    xa, xb, xc, fa, fb, fc, valid = yield from _bracket(line)
+    if not valid:
+        # as scipy recovers from a failed bracket: the best point seen
+        if any(math.isnan(v) for v in (xa, xb, xc, fa, fb, fc)):
+            return math.nan, math.nan
+        return min(((xa, fa), (xb, fb), (xc, fc)), key=lambda pair: pair[1])
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = rat = 0.0
+    for _ in range(maxiter):
+        tol1 = tol * abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x      # golden-section step
+            rat = _CG * deltax
+        else:                                           # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CG * deltax
+        if abs(rat) < tol1:                             # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = yield line(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x, fx
+
+
+def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float):
+    """Minimize along p + alpha xi; returns (f, new point, step taken)."""
+    if not np.any(xi):
+        return fval, p, xi
+    alpha, fret = yield from _brent(lambda alpha: p + alpha * xi, tol)
+    xi = alpha * xi
+    return fret, p + xi, xi
+
+
+def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter: int):
+    """One Powell search from x0 over the rows of `direc` (updated in place)."""
+    x = np.array(x0, dtype=float)
+    fval = yield x
+    x1 = x.copy()
+    sweeps = 0
+    while True:
+        fx = fval
+        bigind = 0
+        delta = 0.0
+        for i in range(len(direc)):
+            fx2 = fval
+            fval, x, _ = yield from _linesearch(fval, x, direc[i], xtol * 100)
+            if fx2 - fval > delta:
+                delta = fx2 - fval
+                bigind = i
+        sweeps += 1
+        bnd = ftol * (abs(fx) + abs(fval)) + 1e-20
+        if 2.0 * (fx - fval) <= bnd or sweeps >= maxiter:
+            break
+        if math.isnan(fx) and math.isnan(fval):
+            break
+        # extrapolate along the net move of this sweep
+        direc1 = x - x1
+        x1 = x.copy()
+        fx2 = yield x + direc1
+        if fx > fx2:
+            t = 2.0 * (fx + fx2 - 2.0 * fval)
+            temp = fx - fval - delta
+            t *= temp * temp
+            temp = fx - fx2
+            t -= delta * temp * temp
+            if t < 0.0:
+                fval, x, direc1 = yield from _linesearch(fval, x, direc1, xtol * 100)
+                if np.any(direc1):
+                    direc[bigind] = direc[-1]
+                    direc[-1] = direc1
+    return x, fval, sweeps
+
+
+class PowellResult(NamedTuple):
+    x: np.ndarray           # (R, n): the end point of each start
+    fun: np.ndarray         # (R,): the objective there
+    nit: np.ndarray         # (R,): sweeps over the direction set
+    nfev: int               # points evaluated, summed over the starts
+
+
+def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int,
+             xtol: float = 1e-4, ftol: float = 1e-4, direc=None) -> PowellResult:
+    """Run Powell's method from every row of `x0` in lock-step.
+
+    `fun` maps a (k, n) array of points to their k values.  Every start is
+    an independent search with its own copy of `direc` (default: the n unit
+    vectors); a start that searches fewer directions than n keeps its other
+    coordinates fixed.  Each round evaluates the pending points of all
+    unfinished starts in one `fun` call.
+    """
+    starts = np.asarray(x0, dtype=float)
+    if starts.ndim == 1:
+        starts = starts[None]
+    n = starts.shape[1]
+    direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
+    runs = [_powell(x, direc.copy(), xtol, ftol, maxiter) for x in starts]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    ends: list = [None] * len(runs)
+    nfev = 0
+    while pending:
+        order = list(pending)
+        values = np.asarray(fun(np.array([pending[i] for i in order])), dtype=float)
+        nfev += len(order)
+        for i, value in zip(order, values.tolist()):
+            try:
+                pending[i] = runs[i].send(value)
+            except StopIteration as stop:
+                del pending[i]
+                ends[i] = stop.value
+    return PowellResult(x=np.array([e[0] for e in ends]).reshape(len(runs), n),
+                        fun=np.array([e[1] for e in ends]),
+                        nit=np.array([e[2] for e in ends], dtype=int),
+                        nfev=nfev)

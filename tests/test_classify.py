@@ -24,7 +24,7 @@ from negfonts import (
     random_state,
     triple_invariants,
 )
-from negfonts.classify import _decide, _det_moduli, _rotated_amps
+from negfonts.classify import _accept_improvements, _decide, _det_moduli, _rotated_amps
 from negfonts.errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
 
 classify_module = importlib.import_module("negfonts.classify")
@@ -245,3 +245,164 @@ def test_font_minimize_drift_is_typed(monkeypatch):
                         lambda state: np.full(9, float(next(calls))))
     with pytest.raises(SearchDrift):
         font_minimize(normalize(catalog_state("GHZ4")), restarts=1, iters=5)
+
+
+def test_surrogate_and_objective_flat_along_a_angles():
+    # Rz(a) acts last and only puts phases on the amplitudes; this is why
+    # the search leaves the four a angles out of its direction set
+    rng = np.random.default_rng(4211)
+    states = [random_state(4, 4211 + k) for k in range(4)]
+    states += [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
+    for state in states:
+        for k in range(8):
+            thetas = rng.uniform(0, 2 * np.pi, 12)
+            if k % 2:
+                thetas[1::3] = 0.0          # a catalog state keeps its sparse frame
+            shifted = np.tile(thetas, (4, 1))
+            shifted[np.arange(4), 3 * np.arange(4)] += rng.uniform(0, 2 * np.pi, 4)
+            values = classify_module._surrogate(state.amps, state.norm,
+                                                np.vstack([thetas, shifted]))
+            np.testing.assert_allclose(values[1:], values[0], rtol=0, atol=1e-12)
+            for has_four_body in (False, True):
+                scores = classify_module._scores(
+                    _rotated_amps(state.amps, np.vstack([thetas, shifted])),
+                    1e-9, state.norm, has_four_body)
+                np.testing.assert_array_equal(scores[1:, [0, 1, 3]],
+                                              np.broadcast_to(scores[0, [0, 1, 3]], (4, 3)))
+                np.testing.assert_allclose(scores[1:, 2], scores[0, 2], rtol=0, atol=1e-12)
+
+
+def _strictly_better(cand, ref, floor):
+    if cand[:2] != ref[:2]:
+        return cand[:2] < ref[:2]
+    if abs(cand[2] - ref[2]) > floor:
+        return cand[2] < ref[2]
+    return cand[3] < ref[3]
+
+
+def _sequential_refine(vec, best, scores, floor):
+    """The move-by-move Clifford hill-climb that the batched refinement replaces."""
+    moves = classify_module._clifford_gates()[1:]
+    n = 4
+    passes = {"pair": 0, "pair_accepted": 0}
+
+    def score(v):
+        return classify_module._row(scores(v[None])[0])
+
+    def clifford_moved(v, q, gate):
+        psi = v.reshape((2,) * n)
+        return np.moveaxis(np.tensordot(gate, psi, axes=([1], [q])), 0, q).reshape(-1)
+
+    rounds = []
+    for _round in range(16):
+        improved = False
+        for q in range(n):
+            for gate in moves:
+                moved = clifford_moved(vec, q, gate)
+                candidate = score(moved)
+                if _strictly_better(candidate, best, floor):
+                    best, vec, improved = candidate, moved, True
+        if not improved and best[1] != 0:
+            passes["pair"] += 1
+            for qa in range(n):
+                for qb in range(qa + 1, n):
+                    for ga in moves:
+                        va = clifford_moved(vec, qa, ga)
+                        for gb in moves:
+                            moved = clifford_moved(va, qb, gb)
+                            candidate = score(moved)
+                            if _strictly_better(candidate, best, floor):
+                                best, vec, improved = candidate, moved, True
+                                passes["pair_accepted"] += 1
+        rounds.append(best)
+        if not improved:
+            break
+    return vec, best, rounds, passes
+
+
+def test_batched_refinement_matches_sequential(monkeypatch):
+    batched = classify_module._clifford_refine
+    calls = []
+
+    def spy(vec, best, scores, floor):
+        calls.append((vec.copy(), best, scores, floor))
+        return batched(vec, best, scores, floor)
+
+    monkeypatch.setattr(classify_module, "_clifford_refine", spy)
+    # W4 frames stall with penalty 1 and try move pairs; HS after a short
+    # search accepts some
+    cases = [(name, (4219, idx, trial), 2, 30)
+             for idx, name in enumerate(("GHZ4", "W4", "C1")) for trial in range(8)]
+    cases += [("HS", (4219, 7, trial), 1, 5) for trial in range(4)]
+    pairs = {"pair": 0, "pair_accepted": 0}
+    for name, key, restarts, iters in cases:
+        calls.clear()
+        font_minimize(scramble_special(normalize(catalog_state(name)), key),
+                      restarts=restarts, iters=iters, seed=key[-1])
+        (vec, best, scores, floor), = calls
+        got_vec, got_best, got_rounds = batched(vec, best, scores, floor)
+        ref_vec, ref_best, ref_rounds, passes = _sequential_refine(vec, best, scores, floor)
+        for field in pairs:
+            pairs[field] += passes[field]
+        assert len(got_rounds) == len(ref_rounds), (name, key)
+        for got, ref in zip(got_rounds + [got_best], ref_rounds + [ref_best]):
+            assert (got[0], got[1], got[3]) == (ref[0], ref[1], ref[3]), (name, key)
+            assert got[2] == pytest.approx(ref[2], abs=1e-12)
+        np.testing.assert_allclose(got_vec, ref_vec, rtol=0, atol=1e-12)
+    assert pairs["pair"] > 0 and pairs["pair_accepted"] > 0
+
+
+def test_batched_refinement_matches_sequential_on_a_rugged_objective():
+    # an arbitrary objective on which the single moves stall and the pair
+    # pass accepts moves
+    weights = np.random.default_rng(4229).uniform(size=(2, 16))
+
+    def scores(vecs):
+        mass = np.abs(vecs) ** 2
+        count = np.floor(12 * (mass * weights[0]).sum(-1))
+        total = (mass * weights[1]).sum(-1)
+        return np.stack([count, np.ones_like(count), total, np.zeros_like(count)], -1)
+
+    accepted = 0
+    for seed in range(3):
+        vec = random_state(4, 4229 + seed).amps
+        best = classify_module._row(scores(vec[None])[0])
+        got_vec, got_best, got_rounds = classify_module._clifford_refine(vec, best, scores, 1e-9)
+        ref_vec, ref_best, ref_rounds, passes = _sequential_refine(vec, best, scores, 1e-9)
+        accepted += passes["pair_accepted"]
+        assert len(got_rounds) == len(ref_rounds)
+        for got, ref in zip(got_rounds + [got_best], ref_rounds + [ref_best]):
+            assert got[:2] == ref[:2]
+            assert got[2] == pytest.approx(ref[2], abs=1e-12)
+        np.testing.assert_allclose(got_vec, ref_vec, rtol=0, atol=1e-12)
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("block", (1, 5))
+def test_accept_improvements_matches_a_move_loop(block):
+    # synthetic moves with many acceptances: move j of block b takes v to
+    # (v + shift[b, j]) mod 1, built from the best vector at the block start
+    shifts = np.random.default_rng(4231).uniform(size=(8, block, 3))
+
+    def candidates(v):
+        return ((v + shifts) % 1.0).reshape(-1, 3)
+
+    def scores(vecs):
+        count = np.floor(10 * vecs[..., 0])
+        return np.stack([count, np.zeros_like(count), vecs[..., 1], vecs[..., 2]], -1)
+
+    for start in np.random.default_rng(4233).uniform(size=(20, 3)):
+        best0 = classify_module._row(scores(start[None])[0])
+        vec, best, accepted = start, best0, 0
+        for b in range(len(shifts)):
+            base = vec
+            for shift in shifts[b]:
+                moved = (base + shift) % 1.0
+                candidate = classify_module._row(scores(moved[None])[0])
+                if _strictly_better(candidate, best, 1e-9):
+                    vec, best, accepted = moved, candidate, accepted + 1
+        got_vec, got_best, improved = _accept_improvements(start, best0, candidates, block,
+                                                           scores, 1e-9)
+        assert improved == (accepted > 0)
+        assert got_best == best
+        np.testing.assert_array_equal(got_vec, vec)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import warnings
 from itertools import count
 
 import numpy as np
@@ -199,6 +200,21 @@ def test_invariants_non_finite_exit_3(tmp_path, capsys, name):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("name", ("GHZ4", "GHZ3", "Bell"))
+def test_invariants_non_finite_exit_3_without_warnings(tmp_path, capsys, name):
+    # no errstate here: main itself must keep numpy from warning on the way
+    base = catalog_state(name)
+    path = tmp_path / "huge.txt"
+    write_state_file(str(path), make_state(base.n_qubits, base.amps * 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "invariants", "--in", str(path), "--no-normalize")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_negativity_cli(tmp_path, capsys):

@@ -1,0 +1,70 @@
+"""The numpy Powell port: scipy parity, and lock-step runs equal to single runs."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from helpers import scramble_special
+from negfonts import catalog_state, normalize
+from negfonts.powell import minimize
+
+classify_module = importlib.import_module("negfonts.classify")
+
+OPTIONS = {"maxiter": 60, "xtol": 1e-6, "ftol": 1e-8}
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def scrambled_surrogates(count):
+    """Scalar surrogates of `font_minimize` on scrambled GHZ4 states."""
+    ghz = normalize(catalog_state("GHZ4"))
+    for trial in range(count):
+        state = scramble_special(ghz, (4127, trial))
+        yield lambda x, s=state: float(classify_module._surrogate(s.amps, s.norm, x))
+
+
+def rowwise(fun):
+    return lambda points: [fun(x) for x in points]
+
+
+def test_matches_scipy_powell():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(4127)
+    cases = [(rosenbrock, np.array([-1.2, 1.0, 0.5, -0.3])), (rosenbrock, np.zeros(3))]
+    cases += [(f, rng.uniform(0, 2 * np.pi, 12)) for f in scrambled_surrogates(3)]
+    for fun, x0 in cases:
+        ref = optimize.minimize(fun, x0, method="Powell", options=OPTIONS)
+        got = minimize(rowwise(fun), x0, **OPTIONS)
+        assert got.nfev == ref.nfev
+        assert got.nit[0] == ref.nit
+        np.testing.assert_allclose(got.x[0], ref.x, rtol=0, atol=1e-12)
+        assert got.fun[0] == pytest.approx(ref.fun, abs=1e-12)
+
+
+def test_lockstep_equals_single_runs():
+    ghz = normalize(catalog_state("GHZ4"))
+    state = scramble_special(ghz, (4127, 99))
+
+    def surrogate(thetas):
+        return classify_module._surrogate(state.amps, state.norm, thetas)
+
+    starts = np.random.default_rng(4127).uniform(0, 2 * np.pi, (5, 12))
+    starts[0] = 0.0
+    lockstep = minimize(surrogate, starts, direc=classify_module._SEARCHED, **OPTIONS)
+    singles = [minimize(surrogate, x0, direc=classify_module._SEARCHED, **OPTIONS)
+               for x0 in starts]
+    assert lockstep.x.shape == (5, 12)
+    assert lockstep.nfev == sum(single.nfev for single in singles)
+    for row, single in zip(lockstep.x, singles):
+        np.testing.assert_allclose(row, single.x[0], rtol=0, atol=1e-12)
+    # the direction set leaves the a angle of every qubit at its start value
+    np.testing.assert_array_equal(lockstep.x[:, ::3], starts[:, ::3])
+
+
+def test_no_starts():
+    result = minimize(rowwise(rosenbrock), np.zeros((0, 3)), **OPTIONS)
+    assert result.x.shape == (0, 3)
+    assert result.nfev == 0
