@@ -19,8 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
-from .fonts import font_counts
-from .invariants import DEFAULT_TOL, aggregate_invariants, tau48_from_i48
+from .fonts import _det_moduli, _det_orders, _qubit_first, font_counts
+from .invariants import (DEFAULT_TOL, _quartic_invariants, aggregate_invariants,
+                         tau48_from_i48)
 from .powell import minimize
 from .states import PureState, normalize
 
@@ -55,7 +56,7 @@ class ClassReport:
 def _cut_entangled(state: PureState, p: int, tol: float) -> bool:
     """Qubit p is entangled with the rest iff some font for p has nonzero det."""
     threshold = tol * state.norm ** 2
-    moduli = _det_moduli(np.moveaxis(state.tensor(), p - 1, 0).reshape(-1))
+    moduli = _det_moduli(_qubit_first(state, p))
     return bool(np.any(moduli > threshold))
 
 
@@ -202,35 +203,6 @@ def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     x = (z[..., :16] * amps).reshape(lead + (4, 4))
     rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
     return z[..., 16:32] * rotated.reshape(lead + (16,))
-
-
-_TRIU_CACHE: dict[int, tuple] = {}
-
-
-def _triu(cols: int):
-    if cols not in _TRIU_CACHE:
-        i0, i1 = np.triu_indices(cols, k=1)
-        # coherence order of each minor: flips among the non-transposed qubits + 1
-        orders = np.array([bin(int(a) ^ int(b)).count("1") + 1 for a, b in zip(i0, i1)])
-        # minor (i0, i1) of a 2 x cols matrix m is m[0,i0] m[1,i1] - m[0,i1] m[1,i0];
-        # these are the four factors as indices into m flattened
-        _TRIU_CACHE[cols] = (np.stack([i0, i1 + cols, i1, i0 + cols]), orders)
-    return _TRIU_CACHE[cols]
-
-
-def _det_moduli(amps: np.ndarray) -> np.ndarray:
-    """|det| of every canonical font for the qubit of the leading bit.
-
-    These are exactly the 2x2 minors of each amplitude vector on the last
-    axis reshaped to a 2 x 2^(n-1) matrix (rows: that qubit's bit, columns:
-    the other qubits), one per column pair of the cached `triu` indices.
-    """
-    f = amps[..., _triu(amps.shape[-1] // 2)[0]]
-    return np.abs(f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :])
-
-
-def _det_orders(n: int) -> np.ndarray:
-    return _triu(1 << (n - 1))[1]
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -497,16 +469,12 @@ def _require_params(family: str, params: Mapping[str, complex], names: tuple[str
 
 def _derived(i3_0: complex, i3_1: complex, t: complex,
              p0: complex, p1: complex) -> dict:
-    i48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
-    m = np.array([[i3_1, p1, t], [p1, t, p0], [t, p0, i3_0]])
-    j = complex(np.linalg.det(m))
-    n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
-            + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+    i48, j, n_sq = _quartic_invariants(i3_0, i3_1, t, p0, p1)
     return {
         "i3_0": i3_0, "i3_1": i3_1, "t": t, "p0": p0, "p1": p1,
-        "i48": complex(i48), "j12": j,
+        "i48": i48, "j12": j,
         "delta24": complex(i48 ** 3 - 27 * j ** 2),
-        "n_triple_sq": float(n_sq),
+        "n_triple_sq": n_sq,
         "dres": float(n_sq - 2 * abs(i48)),
     }
 

@@ -11,10 +11,18 @@ A nonzero determinant certifies a negative eigenvalue of the K-way partial
 transpose over p.  Flipping the whole pattern s negates the determinant, so
 enumeration keeps one canonical representative per pair: the lowest qubit of
 S1 minus {p} carries bit 0.
+
+Seen as a 2 x 2^(n-1) matrix (rows: the bit of p, columns: the other qubits
+in order), the amplitudes have one 2x2 minor per column pair c1 < c2, and the
+canonical fonts of qubit p are exactly these minors: the font's two labels sit
+in columns c1 and c2, and its order K is popcount(c1 ^ c2) + 1.  `_minors`
+evaluates all of them in one gather, in `triu` column-pair order; the font
+counts, the global negativity and the classifier read them from there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -58,16 +66,19 @@ class FontSpec:
         return body + (f" | {sub}]" if sub else "]")
 
 
+@functools.cache
 def enumerate_fonts(n: int, p: int, k: int | None = None) -> tuple[FontSpec, ...]:
     """All canonical fonts for transposed qubit p, optionally of one order K."""
     if not 1 <= p <= n:
         raise QubitOutOfRange(f"qubit {p} outside 1..{n}")
-    orders = (k,) if k is not None else tuple(range(2, n + 1))
+    if k is not None:
+        if not 2 <= k <= n:
+            raise QubitOutOfRange(f"font order {k} outside 2..{n}")
+        # the cached specs of the full enumeration, so each is built once
+        return tuple(spec for spec in enumerate_fonts(n, p) if spec.k == k)
     specs = []
-    for order in orders:
-        if not 2 <= order <= n:
-            raise QubitOutOfRange(f"font order {order} outside 2..{n}")
-        others = [q for q in range(1, n + 1) if q != p]
+    others = [q for q in range(1, n + 1) if q != p]
+    for order in range(2, n + 1):
         for rest in combinations(others, order - 1):
             flip_set = tuple(sorted((p,) + rest))
             spect = [q for q in range(1, n + 1) if q not in flip_set]
@@ -80,9 +91,9 @@ def enumerate_fonts(n: int, p: int, k: int | None = None) -> tuple[FontSpec, ...
     return tuple(specs)
 
 
-def font_det(state: PureState, spec: FontSpec) -> complex:
-    """Determinant of the font's 2x2 amplitude block."""
-    n = state.n_qubits
+@functools.cache
+def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
+    """Amplitude positions (i, j, i', j') with det = a[i] a[j] - a[i'] a[j']."""
     qubits = set(spec.flip_set) | {q for q, _ in spec.spectators}
     if qubits != set(range(1, n + 1)) or spec.p not in spec.flip_set:
         raise SpecMismatch(f"spec {spec} does not cover qubits 1..{n}")
@@ -100,8 +111,56 @@ def font_det(state: PureState, spec: FontSpec) -> complex:
     i = index_of_bits(bits_i)
     j = index_of_bits(bits_j)
     pbit = 1 << (n - spec.p)
+    return i, j, i ^ pbit, j ^ pbit
+
+
+def font_det(state: PureState, spec: FontSpec) -> complex:
+    """Determinant of the font's 2x2 amplitude block."""
+    i, j, i_flip, j_flip = _font_indices(state.n_qubits, spec)
     a = state.amps
-    return complex(a[i] * a[j] - a[i ^ pbit] * a[j ^ pbit])
+    return complex(a[i] * a[j] - a[i_flip] * a[j_flip])
+
+
+@functools.cache
+def _column_pairs(cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factor positions and coherence order of every minor of a 2 x cols matrix.
+
+    Minor (c1, c2) of m is m[0,c1] m[1,c2] - m[0,c2] m[1,c1]; the first array
+    holds its four factors as positions in m flattened, one column per pair.
+    """
+    c1, c2 = np.triu_indices(cols, k=1)
+    # flips among the non-transposed qubits, plus the transposed one
+    orders = np.array([bin(int(a) ^ int(b)).count("1") + 1 for a, b in zip(c1, c2)])
+    factors = np.stack([c1, c2 + cols, c2, c1 + cols])
+    factors.setflags(write=False)
+    orders.setflags(write=False)
+    return factors, orders
+
+
+def _minors(amps: np.ndarray) -> np.ndarray:
+    """Signed 2x2 minors of each amplitude vector on the last axis.
+
+    (..., 2^n) -> (..., C(2^(n-1), 2)): the vector is read as a 2 x 2^(n-1)
+    matrix whose rows are its leading bit, so the minors are the canonical
+    fonts of the qubit in front (see `_qubit_first`), in `triu` pair order.
+    """
+    f = amps[..., _column_pairs(amps.shape[-1] // 2)[0]]
+    return f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
+
+
+def _det_moduli(amps: np.ndarray) -> np.ndarray:
+    """|det| of every canonical font for the qubit of the leading bit."""
+    return np.abs(_minors(amps))
+
+
+def _det_orders(n: int) -> np.ndarray:
+    """Font order K of each of the n-qubit minors, in `_minors` order."""
+    return _column_pairs(1 << (n - 1))[1]
+
+
+def _qubit_first(state: PureState, p: int) -> np.ndarray:
+    """The amplitudes with qubit p moved to the leading bit."""
+    return np.moveaxis(state.tensor(), p - 1, 0).reshape(-1)
 
 
 def _require_four(state: PureState, op: str) -> None:
@@ -141,11 +200,13 @@ def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_T
     divided by their largest modulus, so dets neither overflow nor underflow
     at any finite scale.
     """
+    n = state.n_qubits
+    enumerate_fonts(n, p, k)                # cached; checks p and k
     if not state.normalized:
-        state = PureState(state.n_qubits, state.amps / np.max(np.abs(state.amps)))
+        state = PureState(n, state.amps / np.max(np.abs(state.amps)))
     threshold = tol * state.norm ** 2
-    return sum(1 for spec in enumerate_fonts(state.n_qubits, p, k)
-               if abs(font_det(state, spec)) > threshold)
+    moduli = _det_moduli(_qubit_first(state, p))
+    return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
 
 
 def font_counts(state: PureState, p: int, tol: float = DEFAULT_TOL) -> dict[int, int]:

@@ -183,6 +183,17 @@ def tau4(state: PureState) -> float:
     return 4.0 * abs(i4(state))
 
 
+def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
+                        p0: complex, p1: complex) -> tuple[complex, complex, float]:
+    """(i48, j12, n_sq) of the quartic with weighted coefficients
+    (i3_0, 4 P0, 6 T, 4 P1, i3_1)."""
+    val48 = complex(3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1)
+    m = np.array([[i3_1, p1, t], [p1, t, p0], [t, p0, i3_0]])
+    n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
+            + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+    return val48, complex(np.linalg.det(m)), float(n_sq)
+
+
 def i3_conditional(state: PureState, i4bit: int) -> complex:
     """Three-way invariant of the triple (1,2,3) with qubit 4 fixed at i4bit."""
     _require(state, 4, "i3_conditional")
@@ -212,30 +223,28 @@ def t_p_invariants(state: PureState) -> tuple[complex, complex, complex]:
     return complex(t_val), complex(p[0]), complex(p[1])
 
 
+def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
+    """(i3_cond(0), i3_cond(1), T, P0, P1) of a four-qubit state."""
+    return (i3_conditional(state, 0), i3_conditional(state, 1), *t_p_invariants(state))
+
+
 def i48(state: PureState) -> complex:
     """Degree-8 invariant; nonzero exactly on states with four-body correlations."""
     _require(state, 4, "i48")
-    t_val, p0, p1 = t_p_invariants(state)
-    return complex(3 * t_val ** 2 - 4 * p0 * p1
-                   + i3_conditional(state, 0) * i3_conditional(state, 1))
+    return _quartic_invariants(*_quartic_coefficients(state))[0]
 
 
 def j12(state: PureState) -> complex:
     """Degree-12 cubic invariant of the transposition quartic."""
     _require(state, 4, "j12")
-    t_val, p0, p1 = t_p_invariants(state)
-    a0 = i3_conditional(state, 0)
-    a1 = i3_conditional(state, 1)
-    m = np.array([[a1, p1, t_val],
-                  [p1, t_val, p0],
-                  [t_val, p0, a0]])
-    return complex(np.linalg.det(m))
+    return _quartic_invariants(*_quartic_coefficients(state))[1]
 
 
 def delta24(state: PureState) -> complex:
     """Degree-24 discriminant: i48**3 - 27 * j12**2."""
     _require(state, 4, "delta24")
-    return complex(i48(state) ** 3 - 27 * j12(state) ** 2)
+    val48, val_j, _ = _quartic_invariants(*_quartic_coefficients(state))
+    return complex(val48 ** 3 - 27 * val_j ** 2)
 
 
 def _perm_singled(singled: int) -> tuple[int, ...]:
@@ -251,11 +260,7 @@ def n_triple_sq(state: PureState, singled: int = 4) -> float:
     """Squared triple invariant for the three qubits other than `singled`."""
     _require(state, 4, "n_triple_sq")
     moved = state if singled == 4 else permute_qubits(state, _perm_singled(singled))
-    t_val, p0, p1 = t_p_invariants(moved)
-    a0 = i3_conditional(moved, 0)
-    a1 = i3_conditional(moved, 1)
-    return float(abs(a0) ** 2 + abs(a1) ** 2 + 6 * abs(t_val) ** 2
-                 + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+    return _quartic_invariants(*_quartic_coefficients(moved))[2]
 
 
 @dataclass(frozen=True)
@@ -278,17 +283,10 @@ class TripleInvariants:
 def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:
     _require(state, 4, "triple_invariants")
     moved = state if singled == 4 else permute_qubits(state, _perm_singled(singled))
-    t_val, p0, p1 = t_p_invariants(moved)
-    a0 = i3_conditional(moved, 0)
-    a1 = i3_conditional(moved, 1)
-    val48 = complex(3 * t_val ** 2 - 4 * p0 * p1 + a0 * a1)
-    m = np.array([[a1, p1, t_val], [p1, t_val, p0], [t_val, p0, a0]])
-    val_j = complex(np.linalg.det(m))
-    n_sq = float(abs(a0) ** 2 + abs(a1) ** 2 + 6 * abs(t_val) ** 2
-                 + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+    a0, a1, t_val, p0, p1 = coeffs = _quartic_coefficients(moved)
+    val48, val_j, n_sq = _quartic_invariants(*coeffs)
     return TripleInvariants(
-        singled=singled, i3_0=complex(a0), i3_1=complex(a1),
-        t=complex(t_val), p0=complex(p0), p1=complex(p1),
+        singled=singled, i3_0=a0, i3_1=a1, t=t_val, p0=p0, p1=p1,
         i48=val48, j12=val_j, delta24=complex(val48 ** 3 - 27 * val_j ** 2),
         n_sq=n_sq, dres=float(n_sq - 2 * abs(val48)),
     )

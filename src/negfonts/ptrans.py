@@ -10,9 +10,12 @@ one up to (n-2) copies of rho.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
+from .fonts import _minors, _qubit_first
 from .states import PureState
 
 GLOBAL = "global"
@@ -25,26 +28,54 @@ def density_from_pure(state: PureState) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
 
-def _popcounts(dim: int) -> np.ndarray:
-    return np.array([bin(x).count("1") for x in range(dim)], dtype=np.int64)
-
-
-def _swap_mask(rho: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _check_qubit(n: int, p: int) -> None:
     if not 1 <= p <= n:
         raise QubitOutOfRange(f"qubit {p} outside 1..{n}")
+
+
+@functools.cache
+def _swap_index(n: int, p: int) -> np.ndarray:
+    """Flat position each element of the global transpose over qubit p reads.
+
+    Elements whose row and column labels differ in the p-bit read the element
+    with both p-bits flipped; the others read themselves.
+    """
+    dim = 1 << n
+    pbit = 1 << (n - p)
+    rows, cols = np.indices((dim, dim))
+    differs = ((rows ^ cols) & pbit) != 0
+    index = np.where(differs, (rows ^ pbit) * dim + (cols ^ pbit), rows * dim + cols)
+    index.setflags(write=False)
+    return index
+
+
+@functools.cache
+def _kway_mask(n: int, p: int, k: int) -> np.ndarray:
+    """Elements a K-way transpose over qubit p moves: p-bits differ, order K.
+
+    For k == 2 the elements of order 1 and 2 are both selected.
+    """
+    dim = 1 << n
+    popcounts = np.array([bin(x).count("1") for x in range(dim)])
+    rows, cols = np.indices((dim, dim))
+    order = popcounts[rows ^ cols]
+    differs = ((rows ^ cols) & (1 << (n - p))) != 0
+    mask = differs & ((order <= 2) if k == 2 else (order == k))
+    mask.setflags(write=False)
+    return mask
+
+
+def _swapped(rho: np.ndarray, n: int, p: int) -> np.ndarray:
+    _check_qubit(n, p)
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise QubitOutOfRange(f"matrix shape {rho.shape} does not match n={n}")
-    pbit = 1 << (n - p)
-    rows, cols = np.indices((dim, dim))
-    differs = (rows & pbit) != (cols & pbit)
-    return rows, cols, differs, pbit
+    return rho.reshape(-1)[_swap_index(n, p)]
 
 
 def global_pt(rho: np.ndarray, p: int, n: int) -> np.ndarray:
     """Partial transpose over qubit p: swap the p-bits of row and column labels."""
-    rows, cols, differs, pbit = _swap_mask(rho, n, p)
-    return np.where(differs, rho[rows ^ pbit, cols ^ pbit], rho)
+    return _swapped(rho, n, p)
 
 
 def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
@@ -55,13 +86,8 @@ def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
     """
     if not 2 <= k <= n:
         raise BadK(f"K must be in 2..{n}, got {k}")
-    rows, cols, differs, pbit = _swap_mask(rho, n, p)
-    order = _popcounts(1 << n)[rows ^ cols]
-    if k == 2:
-        selected = differs & (order <= 2)
-    else:
-        selected = differs & (order == k)
-    return np.where(selected, rho[rows ^ pbit, cols ^ pbit], rho)
+    swapped = _swapped(rho, n, p)           # checks p first
+    return np.where(_kway_mask(n, p, k), swapped, rho)
 
 
 def decomposition_residual(state: PureState, p: int) -> float:
@@ -85,28 +111,49 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def negativity(state: PureState, p: int, kind=GLOBAL) -> float:
-    """Trace norm of the requested transpose minus one.
-
-    `kind` is "global" or an integer coherence order K in 2..n.
-    """
+def _transposed_spectrum(state: PureState, p: int, kind) -> np.ndarray:
+    """Eigenvalues of the requested transpose of |psi><psi|."""
     n = state.n_qubits
     rho = density_from_pure(state)
     if kind == GLOBAL:
         transposed = global_pt(rho, p, n)
     else:
         transposed = kway_pt(rho, p, int(kind), n)
-    eig = hermitian_eigenvalues(transposed)
-    return float(np.sum(np.abs(eig)) - 1.0)
+    return hermitian_eigenvalues(transposed)
+
+
+def _global_negativity(state: PureState, p: int) -> float:
+    """||psi||^2 - 1 + 2 sqrt(sum |D|^2) over the canonical fonts D of qubit p.
+
+    The transpose of a pure state over p has trace norm (s1 + s2)^2 for the
+    Schmidt coefficients s1, s2 of the cut p | rest, and by Cauchy-Binet
+    (s1 s2)^2 = det rho_p is the sum of |D|^2 over the 2x2 minors, so no
+    eigensolve is needed.  The minors are taken on the amplitudes divided by
+    their largest modulus, so they overflow only where the result does.
+    """
+    _check_qubit(state.n_qubits, p)
+    scale = np.max(np.abs(state.amps))
+    unit = _qubit_first(state, p) / scale
+    det_rho = np.sum(np.abs(_minors(unit)) ** 2)
+    return scale ** 2 * (np.vdot(unit, unit).real + 2.0 * np.sqrt(det_rho)) - 1.0
+
+
+def negativity(state: PureState, p: int, kind=GLOBAL) -> float:
+    """Trace norm of the requested transpose minus one.
+
+    `kind` is "global" or an integer coherence order K in 2..n.  The global
+    kind is taken from the font minors, a K-way kind from the spectrum.
+    """
+    if kind == GLOBAL:
+        value = _global_negativity(state, p)
+    else:
+        value = np.sum(np.abs(_transposed_spectrum(state, p, kind))) - 1.0
+    if not np.isfinite(value):
+        raise NonFiniteResult(f"negativity of qubit {p} is not finite")
+    return float(value)
 
 
 def negative_eigenvalues(state: PureState, p: int, kind=GLOBAL) -> np.ndarray:
     """Negative part of the spectrum of the requested transpose."""
-    n = state.n_qubits
-    rho = density_from_pure(state)
-    if kind == GLOBAL:
-        transposed = global_pt(rho, p, n)
-    else:
-        transposed = kway_pt(rho, p, int(kind), n)
-    eig = hermitian_eigenvalues(transposed)
+    eig = _transposed_spectrum(state, p, kind)
     return eig[eig < 0.0]

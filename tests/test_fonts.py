@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import haar_u2
+from helpers import haar_u2, scramble_special
 from negfonts import (
     FontSpec,
     apply_local_unitary,
@@ -23,6 +23,7 @@ from negfonts import (
     random_state,
 )
 from negfonts.errors import QubitOutOfRange, SpecMismatch, WrongArity
+from negfonts.fonts import _det_orders, _font_indices, _minors, _qubit_first
 
 SQ3 = np.sqrt(3.0)
 
@@ -178,3 +179,81 @@ def test_counts_scale_invariant():
     s = random_state(4, 77)
     scaled = make_state(4, 7.3 * s.amps)
     assert font_counts(s, 1) == font_counts(scaled, 1)
+
+
+def _kernel_states(n: int, seed: int):
+    """Haar, GHZ-type and W-type states (scrambled), each also at 1e+-150."""
+    rng = np.random.default_rng((seed, n))
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ghz = np.zeros(1 << n, complex)
+    ghz[[0, -1]] = weights[:2]
+    w = np.zeros(1 << n, complex)
+    w[[1 << (n - q) for q in range(1, n + 1)]] = weights
+    base = [random_state(n, (seed, n)),
+            scramble_special(make_state(n, ghz), (seed, n, 1)),
+            scramble_special(make_state(n, w), (seed, n, 2)),
+            make_state(n, ghz), make_state(n, w)]
+    return base + [make_state(n, s.amps * scale) for s in base for scale in (1e150, 1e-150)]
+
+
+def _font_columns(spec: FontSpec, n: int) -> tuple[int, int]:
+    """Columns of the font's two labels in the 2 x 2^(n-1) matrix of qubit p."""
+    bits = dict(spec.spectators)
+    bits.update(zip([q for q in spec.flip_set if q != spec.p], spec.pattern))
+    others = [q for q in range(1, n + 1) if q != spec.p]
+    col = sum(bits[q] << (n - 2 - j) for j, q in enumerate(others))
+    flip = sum(1 << (n - 2 - j) for j, q in enumerate(others) if q in spec.flip_set)
+    return col, col ^ flip
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_minor_kernel_matches_font_det(n):
+    # The kernel multiplies whole arrays, and numpy's vectorized complex
+    # product may use fused multiply-adds where the scalar product in
+    # font_det does not, so the two agree to rounding of the products:
+    # each part of a product a*b is within 2 eps |a||b| of the exact value.
+    eps = np.finfo(float).eps
+    pairs = list(zip(*np.triu_indices(1 << (n - 1), k=1)))
+    for state in _kernel_states(n, 1401):
+        a = np.abs(state.amps)
+        for p in range(1, n + 1):
+            specs = enumerate_fonts(n, p)
+            positions = [pairs.index(_font_columns(spec, n)) for spec in specs]
+            assert sorted(positions) == list(range(len(pairs)))
+            np.testing.assert_array_equal(_det_orders(n)[positions],
+                                          [spec.k for spec in specs])
+            minors = _minors(_qubit_first(state, p))[positions]
+            for spec, minor in zip(specs, minors):
+                i, j, i_flip, j_flip = [int(x) for x in _font_indices(n, spec)]
+                bound = 4 * eps * (a[i] * a[j] + a[i_flip] * a[j_flip])
+                assert abs(minor - font_det(state, spec)) <= bound
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_counts_match_per_spec_loop(n):
+    for state in _kernel_states(n, 1409):
+        work = state if state.normalized else make_state(
+            n, state.amps / np.max(np.abs(state.amps)))
+        threshold = 1e-9 * work.norm ** 2
+        for p in range(1, n + 1):
+            expected = {k: sum(1 for spec in enumerate_fonts(n, p, k)
+                               if abs(font_det(work, spec)) > threshold)
+                        for k in range(2, n + 1)}
+            assert font_counts(state, p) == expected
+
+
+def test_bad_specs_and_ranges_raise_on_every_call():
+    s = random_state(3, 0)
+    uncovered = FontSpec(1, (1, 2), (0,), ((3, 0), (4, 0)))
+    short_pattern = FontSpec(1, (1, 2, 3), (0,), ())
+    for spec in (uncovered, short_pattern):
+        for _ in range(2):
+            with pytest.raises(SpecMismatch):
+                font_det(s, spec)
+    for _ in range(2):
+        with pytest.raises(QubitOutOfRange):
+            enumerate_fonts(3, 4)
+        with pytest.raises(QubitOutOfRange):
+            count_nonzero_fonts(s, 0, 2)
+        with pytest.raises(QubitOutOfRange):
+            count_nonzero_fonts(s, 1, 4)

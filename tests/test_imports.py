@@ -41,3 +41,27 @@ def test_import_leaves_scipy_unloaded():
     assert got["minimize_callable"]
     assert got["result"] == "PureState"
     assert got["after_search"] == []
+
+
+CACHES = """
+import json, sys
+import negfonts
+sizes = {f"{name}.{attr}": value.cache_info().currsize
+         for name, module in sorted(sys.modules.items()) if name.startswith("negfonts.")
+         for attr, value in vars(module).items() if hasattr(value, "cache_info")}
+print(json.dumps(sizes))
+"""
+
+
+def test_import_fills_no_cache():
+    # the font and transpose tables are built on first use, so import cost stays flat
+    src = str(Path(negfonts.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", CACHES], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    sizes = json.loads(done.stdout)
+    assert {"negfonts.fonts.enumerate_fonts", "negfonts.fonts._font_indices",
+            "negfonts.fonts._column_pairs", "negfonts.ptrans._swap_index",
+            "negfonts.ptrans._kway_mask"} <= set(sizes)
+    assert all(size == 0 for size in sizes.values()), sizes

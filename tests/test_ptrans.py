@@ -17,7 +17,7 @@ from negfonts import (
     normalize,
     random_state,
 )
-from negfonts.errors import BadK, NotHermitian, QubitOutOfRange
+from negfonts.errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
 
 
 def test_density_product_state():
@@ -154,3 +154,33 @@ def test_negativity_matches_schmidt_oracle():
         p = 1 + trial % n
         assert negativity(s, p) == pytest.approx(schmidt_negativity(s, p), abs=1e-9)
         assert negativity(s, p) >= -1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_global_negativity_matches_eigensolve(n):
+    for trial in range(4):
+        unit = random_state(n, (1423, n, trial))
+        for scale in (1.0, 3.7, 1e-3):
+            s = make_state(n, unit.amps * scale) if scale != 1.0 else unit
+            for p in range(1, n + 1):
+                eig = hermitian_eigenvalues(global_pt(density_from_pure(s), p, n))
+                assert abs(negativity(s, p) - (np.sum(np.abs(eig)) - 1.0)) <= 1e-12
+
+
+def test_global_negativity_at_large_scale():
+    # the trace norm grows as scale^2 and stays finite up to ~1e154
+    unit = random_state(4, 1427)
+    for p in range(1, 5):
+        big = negativity(make_state(4, unit.amps * 1e150), p)
+        assert big == pytest.approx(1e300 * (negativity(unit, p) + 1.0), rel=1e-12)
+
+
+def test_negativity_non_finite_raises():
+    s = make_state(4, normalize(catalog_state("GHZ4")).amps * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, 5):
+            with pytest.raises(NonFiniteResult):
+                negativity(s, p)
+            for k in range(2, 5):
+                with pytest.raises(NonFiniteResult):
+                    negativity(s, p, k)
