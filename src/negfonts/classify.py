@@ -18,7 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
+from .errors import (MissingParameter, NonFiniteResult, SearchDrift, UnknownFamily,
+                     WrongArity)
 from .fonts import _det_moduli, _det_orders, _qubit_first, font_counts
 from .invariants import (DEFAULT_TOL, _quartic_invariants, aggregate_invariants,
                          tau48_from_i48)
@@ -467,42 +468,39 @@ def _require_params(family: str, params: Mapping[str, complex], names: tuple[str
     return [complex(params[p]) for p in names]
 
 
-def _derived(i3_0: complex, i3_1: complex, t: complex,
-             p0: complex, p1: complex) -> dict:
-    i48, j, n_sq = _quartic_invariants(i3_0, i3_1, t, p0, p1)
-    return {
-        "i3_0": i3_0, "i3_1": i3_1, "t": t, "p0": p0, "p1": p1,
-        "i48": i48, "j12": j,
-        "delta24": complex(i48 ** 3 - 27 * j ** 2),
-        "n_triple_sq": n_sq,
-        "dres": float(n_sq - 2 * abs(i48)),
-    }
-
-
 def family_expected(family: str, params: Mapping[str, complex]) -> dict:
     """Closed-form invariant values for the cataloged parametric families."""
+    try:
+        coeffs, extra = _closed_forms(family, params)
+    except OverflowError:   # a Python power raises where a numpy one saturates
+        point = ", ".join(f"{name}={value:g}" for name, value in params.items())
+        raise NonFiniteResult(f"closed forms of {family} overflow at {point}") from None
+    out = _quartic_invariants(*coeffs)
+    out["n_triple_sq"] = out.pop("n_sq")
+    return {**out, **extra}
+
+
+def _closed_forms(family: str, params: Mapping[str, complex]) -> tuple[tuple, dict]:
+    """(i3_0, i3_1, T, P0, P1) of the family's headline triple, and extra values."""
     if family == "G_abcd":
         a, b, c, d = _require_params(family, params, ("a", "b", "c", "d"))
         big_a = (a ** 2 - b ** 2) * (d ** 2 - c ** 2)
         big_b = 0.25 * (a ** 2 - d ** 2) * (b ** 2 - c ** 2)
-        out = _derived(big_b, big_b, (big_a - 2 * big_b) / 6, 0j, 0j)
-        out["A"] = big_a
-        out["B"] = big_b
-        return out
+        return (big_b, big_b, (big_a - 2 * big_b) / 6, 0j, 0j), {"A": big_a, "B": big_b}
     if family == "L_abc2":
         a, b, c = _require_params(family, params, ("a", "b", "c"))
-        return _derived(c * (a ** 2 - b ** 2), 0j,
-                        (a ** 2 - c ** 2) * (b ** 2 - c ** 2) / 6, 0j, 0j)
+        return (c * (a ** 2 - b ** 2), 0j,
+                (a ** 2 - c ** 2) * (b ** 2 - c ** 2) / 6, 0j, 0j), {}
     if family == "L_a2b2":
         a, b = _require_params(family, params, ("a", "b"))
-        return _derived(0j, 0j, (a ** 2 - b ** 2) ** 2 / 6, 0j, 0j)
+        return (0j, 0j, (a ** 2 - b ** 2) ** 2 / 6, 0j, 0j), {}
     if family == "L_a2_0_3p1t":
         (a,) = _require_params(family, params, ("a",))
-        return _derived(0j, 0j, a ** 4 / 6, 0j, 0j)
+        return (0j, 0j, a ** 4 / 6, 0j, 0j), {}
     if family == "Psi_ab":
         a, b = _require_params(family, params, ("a", "b"))
-        return _derived(a ** 2 * b ** 2, b ** 4, (a ** 4 - 2 * a * b ** 3) / 6,
-                        a ** 3 * b / 2, -a ** 2 * b ** 2 / 2)
+        return (a ** 2 * b ** 2, b ** 4, (a ** 4 - 2 * a * b ** 3) / 6,
+                a ** 3 * b / 2, -a ** 2 * b ** 2 / 2), {}
     raise UnknownFamily(f"no closed forms for family {family!r}")
 
 

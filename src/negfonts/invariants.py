@@ -2,32 +2,53 @@
 
 All quantities are homogeneous polynomials (or moduli of polynomials) in the
 amplitudes; `degree` below refers to that homogeneity degree.  Zero tests are
-therefore scaled by ||amps||**degree rather than applied raw.
+therefore scaled by ||amps||**degree rather than applied raw.  The four-qubit
+invariants come from the transposition quartic, built from the 2x2 dets of the
+three-qubit slices with qubit 3 or qubit 4 fixed plus the four 4-way dets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import WrongArity
-from .states import PureState, permute_qubits
+from .states import PureState, inverse_permutation, permute_qubits
 
 DEFAULT_TOL = 1e-9
 
 PAIRS4 = tuple(combinations((1, 2, 3, 4), 2))
 
 
+def _modulus(value) -> float:
+    """|value|, saturating to inf where abs() of a Python complex with finite
+    parts raises OverflowError."""
+    try:
+        return abs(value)
+    except OverflowError:
+        return math.inf
+
+
 def is_negligible(value, degree: int, norm: float, tol: float = DEFAULT_TOL) -> bool:
     """Degree-aware zero test: |value| <= tol * norm**degree."""
-    return bool(abs(value) <= tol * norm ** degree)
+    return bool(_modulus(value) <= tol * np.float64(norm) ** degree)
 
 
 def _require(state: PureState, n: int, op: str) -> None:
     if state.n_qubits != n:
         raise WrongArity(f"{op} requires n={n}, got n={state.n_qubits}")
+
+
+def _move_last(state: PureState, q: int) -> PureState:
+    """Relabel so that qubit q comes last and the others keep their order."""
+    n = state.n_qubits
+    if q == n:
+        return state
+    order = [x for x in range(1, n + 1) if x != q] + [q]    # old qubit at each position
+    return permute_qubits(state, inverse_permutation(order))
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +77,21 @@ def _dets3(amps: np.ndarray):
     return {(1, 2): pair12, (1, 3): pair13, (2, 3): pair23}, g000, g001
 
 
+def _three_way(pair_dets: dict, g000, g001):
+    """(g000 + g001)^2 - 4 D0 D1 from the dets of `_dets3`."""
+    d0, d1 = pair_dets[(1, 2)]
+    return (g000 + g001) ** 2 - 4 * d0 * d1
+
+
 def three_way_invariant(state: PureState) -> complex:
     """Degree-4 invariant detecting GHZ-type three-body correlations."""
     _require(state, 3, "three_way_invariant")
-    pair_dets, g000, g001 = _dets3(state.amps)
-    d0, d1 = pair_dets[(1, 2)]
-    return complex((g000 + g001) ** 2 - 4 * d0 * d1)
+    return complex(_three_way(*_dets3(state.amps)))
 
 
 def three_tangle(state: PureState) -> float:
     """Entanglement monotone 4 * |three-way invariant|."""
-    return 4.0 * abs(three_way_invariant(state))
-
-
-def _pair_perm3(pair: tuple[int, int]) -> tuple[int, ...]:
-    """Permutation sending the pair to positions (1, 2), spectator to 3."""
-    spectator = ({1, 2, 3} - set(pair)).pop()
-    order = (pair[0], pair[1], spectator)       # old qubit at position j of `order`
-    perm = [0, 0, 0]
-    for new_pos, old in enumerate(order, start=1):
-        perm[old - 1] = new_pos
-    return tuple(perm)
+    return 4.0 * _modulus(three_way_invariant(state))
 
 
 def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
@@ -87,8 +102,8 @@ def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
     this form by relabeling.
     """
     _require(state, 3, "n_pair_sq")
-    moved = state if pair == (1, 2) else permute_qubits(state, _pair_perm3(tuple(pair)))
-    pair_dets, g000, g001 = _dets3(moved.amps)
+    spectator = ({1, 2, 3} - set(pair)).pop()
+    pair_dets, g000, g001 = _dets3(_move_last(state, spectator).amps)
     d0, d1 = pair_dets[(1, 2)]
     return float(abs(d0) ** 2 + abs(d1) ** 2 + 2 * abs((g000 + g001) / 2) ** 2)
 
@@ -112,7 +127,7 @@ class ThreeQubitReport:
 def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubitReport:
     _require(state, 3, "three_qubit_report")
     pair_dets, g000, g001 = _dets3(state.amps)
-    i3 = complex((g000 + g001) ** 2 - 4 * pair_dets[(1, 2)][0] * pair_dets[(1, 2)][1])
+    i3 = complex(_three_way(pair_dets, g000, g001))
     norm = state.norm
     w_sums = {pair: float(abs(d[0]) + abs(d[1])) for pair, d in pair_dets.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
@@ -125,9 +140,9 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
         pair_dets=pair_dets,
         d3_canonical=(complex(g000), complex(g001)),
         n_pair_sq=pair_sq,
-        n_global_sq=float(n_g ** 2),
+        n_global_sq=float(np.float64(n_g) ** 2),
         i3=i3,
-        tau3=4.0 * abs(i3),
+        tau3=4.0 * _modulus(i3),
         i3_is_zero=is_negligible(i3, 4, norm, tol),
         w_sums=w_sums,
         i2_w=float(3.0 * (w12 * w13 + w12 * w23 + w13 * w23)),
@@ -141,7 +156,7 @@ def n_global_sq_relation(state: PureState) -> tuple[float, float]:
     _require(state, 3, "n_global_sq_relation")
     from .ptrans import negativity
 
-    lhs = negativity(state, 1) ** 2
+    lhs = np.float64(negativity(state, 1)) ** 2
     rhs = 4.0 * n_pair_sq(state, (1, 2)) + 4.0 * n_pair_sq(state, (1, 3))
     return float(lhs), float(rhs)
 
@@ -150,117 +165,111 @@ def n_global_sq_relation(state: PureState) -> tuple[float, float]:
 # four qubits
 
 
-def _dets4(amps: np.ndarray):
-    """All determinant families entering the four-qubit invariants.
-
-    d2[(i3,i4)]      pair (1,2) dets, spectators 3,4 fixed
-    e000/e001[b]     canonical 3-way dets of triple (1,2,3), spectator 4 at b
-    f000/f001[b]     canonical 3-way dets of triple (1,2,4), spectator 3 at b
-    d4[(i3,i4)]      the four independent 4-way dets
-    """
-    t = amps.reshape(2, 2, 2, 2)
-    d2 = {(i3, i4): t[0, 0, i3, i4] * t[1, 1, i3, i4] - t[0, 1, i3, i4] * t[1, 0, i3, i4]
-          for i3 in (0, 1) for i4 in (0, 1)}
-    e000 = {b: t[0, 0, 0, b] * t[1, 1, 1, b] - t[1, 0, 0, b] * t[0, 1, 1, b] for b in (0, 1)}
-    e001 = {b: t[0, 0, 1, b] * t[1, 1, 0, b] - t[1, 0, 1, b] * t[0, 1, 0, b] for b in (0, 1)}
-    f000 = {b: t[0, 0, b, 0] * t[1, 1, b, 1] - t[1, 0, b, 0] * t[0, 1, b, 1] for b in (0, 1)}
-    f001 = {b: t[0, 0, b, 1] * t[1, 1, b, 0] - t[1, 0, b, 1] * t[0, 1, b, 0] for b in (0, 1)}
-    d4 = {(i3, i4): t[0, 0, i3, i4] * t[1, 1, 1 - i3, 1 - i4]
-          - t[1, 0, i3, i4] * t[0, 1, 1 - i3, 1 - i4]
-          for i3 in (0, 1) for i4 in (0, 1)}
-    return d2, e000, e001, f000, f001, d4
+def _four_way_dets(t: np.ndarray) -> list:
+    """The four independent 4-way dets of t = amps as (2, 2, 2, 2), for the
+    spectator bits (i3, i4) = 00, 01, 10, 11."""
+    return [t[0, 0, i3, i4] * t[1, 1, 1 - i3, 1 - i4]
+            - t[1, 0, i3, i4] * t[0, 1, 1 - i3, 1 - i4]
+            for i3 in (0, 1) for i4 in (0, 1)]
 
 
 def i4(state: PureState) -> complex:
     """Degree-2 invariant: alternating sum of the four 4-way dets."""
     _require(state, 4, "i4")
-    *_, dets4 = _dets4(state.amps)
-    return complex(dets4[(0, 0)] + dets4[(1, 1)] - dets4[(1, 0)] - dets4[(0, 1)])
+    d00, d01, d10, d11 = _four_way_dets(state.amps.reshape(2, 2, 2, 2))
+    return complex(d00 + d11 - d10 - d01)
 
 
 def tau4(state: PureState) -> float:
     """Degree-2 monotone 4*|i4|; nonzero also on pair-product states."""
-    return 4.0 * abs(i4(state))
+    return 4.0 * _modulus(i4(state))
+
+
+def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
+    """(i3_0, i3_1, T, P0, P1): the transposition quartic of a four-qubit state.
+
+    Acting on qubit 4 with a one-parameter unitary turns the three-way
+    invariant of the slice t[..., b] (qubit 4 fixed at b) into a quartic in
+    the parameter; its binomially weighted coefficients are
+    (i3_0, P0, T, P1, i3_1).  The outer ones are the slices' three-way
+    invariants.  T and P_b combine the slices' pair (1,2) and canonical 3-way
+    dets with the 3-way dets of the slices t[:, :, b, :] (qubit 3 fixed at b)
+    and the four 4-way dets.
+    """
+    t = state.amps.reshape(2, 2, 2, 2)
+    i3, d, e, f = [], [], [], []
+    for b in (0, 1):
+        pair_dets, g000, g001 = _dets3(t[..., b])
+        i3.append(_three_way(pair_dets, g000, g001))
+        d.append(pair_dets[(1, 2)])             # d[b][i]: qubit 3 at i, qubit 4 at b
+        e.append(g000 + g001)
+        _, h000, h001 = _dets3(t[:, :, b, :])
+        f.append(h000 + h001)
+    d00, d01, d10, d11 = _four_way_dets(t)
+    s4 = d00 + d01 + d10 + d11
+    t_val = (s4 ** 2 / 6.0
+             - (2.0 / 3.0) * f[0] * f[1]
+             + (1.0 / 3.0) * e[0] * e[1]
+             - (2.0 / 3.0) * (d[0][0] * d[1][1] + d[1][0] * d[0][1]))
+    p0, p1 = (0.5 * e[b] * s4 - (d[b][1] * f[0] + d[b][0] * f[1]) for b in (0, 1))
+    return tuple(complex(c) for c in (i3[0], i3[1], t_val, p0, p1))
 
 
 def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
-                        p0: complex, p1: complex) -> tuple[complex, complex, float]:
-    """(i48, j12, n_sq) of the quartic with weighted coefficients
-    (i3_0, 4 P0, 6 T, 4 P1, i3_1)."""
-    val48 = complex(3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1)
-    m = np.array([[i3_1, p1, t], [p1, t, p0], [t, p0, i3_0]])
+                        p0: complex, p1: complex) -> dict:
+    """Coefficients and invariants of the quartic with weighted coefficients
+    (i3_0, 4 P0, 6 T, 4 P1, i3_1): the fields of `TripleInvariants` but
+    `singled`.  The algebra runs on numpy scalars, so an overflow saturates
+    to inf instead of raising."""
+    i3_0, i3_1, t, p0, p1 = (np.complex128(c) for c in (i3_0, i3_1, t, p0, p1))
+    val48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
+    val_j = np.linalg.det(np.array([[i3_1, p1, t], [p1, t, p0], [t, p0, i3_0]]))
     n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
             + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
-    return val48, complex(np.linalg.det(m)), float(n_sq)
+    return {
+        "i3_0": complex(i3_0), "i3_1": complex(i3_1), "t": complex(t),
+        "p0": complex(p0), "p1": complex(p1),
+        "i48": complex(val48), "j12": complex(val_j),
+        "delta24": complex(val48 ** 3 - 27 * val_j ** 2),
+        "n_sq": float(n_sq),
+        "dres": float(n_sq - 2 * abs(val48)),
+    }
 
 
 def i3_conditional(state: PureState, i4bit: int) -> complex:
     """Three-way invariant of the triple (1,2,3) with qubit 4 fixed at i4bit."""
     _require(state, 4, "i3_conditional")
-    d2, e000, e001, *_ = _dets4(state.amps)
-    b = int(i4bit)
-    return complex((e000[b] + e001[b]) ** 2 - 4 * d2[(0, b)] * d2[(1, b)])
+    return _quartic_coefficients(state)[:2][int(i4bit)]
 
 
 def t_p_invariants(state: PureState) -> tuple[complex, complex, complex]:
-    """(T, P0, P1): the middle coefficients of the transposition quartic.
-
-    Acting on qubit 4 with a one-parameter unitary turns the conditional
-    three-way invariant into a quartic in the parameter; its binomially
-    weighted coefficients are (i3_cond(0), P0, T, P1, i3_cond(1)).
-    """
+    """(T, P0, P1): the middle coefficients of the transposition quartic."""
     _require(state, 4, "t_p_invariants")
-    d2, e000, e001, f000, f001, d4_ = _dets4(state.amps)
-    s4 = d4_[(0, 0)] + d4_[(0, 1)] + d4_[(1, 0)] + d4_[(1, 1)]
-    e_sum = {b: e000[b] + e001[b] for b in (0, 1)}
-    f_sum = {b: f000[b] + f001[b] for b in (0, 1)}
-    t_val = (s4 ** 2 / 6.0
-             - (2.0 / 3.0) * f_sum[0] * f_sum[1]
-             + (1.0 / 3.0) * e_sum[0] * e_sum[1]
-             - (2.0 / 3.0) * (d2[(0, 0)] * d2[(1, 1)] + d2[(0, 1)] * d2[(1, 0)]))
-    p = {b: 0.5 * e_sum[b] * s4 - (d2[(1, b)] * f_sum[0] + d2[(0, b)] * f_sum[1])
-         for b in (0, 1)}
-    return complex(t_val), complex(p[0]), complex(p[1])
-
-
-def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
-    """(i3_cond(0), i3_cond(1), T, P0, P1) of a four-qubit state."""
-    return (i3_conditional(state, 0), i3_conditional(state, 1), *t_p_invariants(state))
+    return _quartic_coefficients(state)[2:]
 
 
 def i48(state: PureState) -> complex:
     """Degree-8 invariant; nonzero exactly on states with four-body correlations."""
     _require(state, 4, "i48")
-    return _quartic_invariants(*_quartic_coefficients(state))[0]
+    return triple_invariants(state).i48
 
 
 def j12(state: PureState) -> complex:
     """Degree-12 cubic invariant of the transposition quartic."""
     _require(state, 4, "j12")
-    return _quartic_invariants(*_quartic_coefficients(state))[1]
+    return triple_invariants(state).j12
 
 
 def delta24(state: PureState) -> complex:
     """Degree-24 discriminant: i48**3 - 27 * j12**2."""
     _require(state, 4, "delta24")
-    val48, val_j, _ = _quartic_invariants(*_quartic_coefficients(state))
-    return complex(val48 ** 3 - 27 * val_j ** 2)
-
-
-def _perm_singled(singled: int) -> tuple[int, ...]:
-    """Permutation moving `singled` to position 4, others kept in order."""
-    order = [q for q in (1, 2, 3, 4) if q != singled] + [singled]
-    perm = [0] * 4
-    for new_pos, old in enumerate(order, start=1):
-        perm[old - 1] = new_pos
-    return tuple(perm)
+    return triple_invariants(state).delta24
 
 
 def n_triple_sq(state: PureState, singled: int = 4) -> float:
     """Squared triple invariant for the three qubits other than `singled`."""
     _require(state, 4, "n_triple_sq")
-    moved = state if singled == 4 else permute_qubits(state, _perm_singled(singled))
-    return _quartic_invariants(*_quartic_coefficients(moved))[2]
+    return triple_invariants(state, singled).n_sq
 
 
 @dataclass(frozen=True)
@@ -282,14 +291,8 @@ class TripleInvariants:
 
 def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:
     _require(state, 4, "triple_invariants")
-    moved = state if singled == 4 else permute_qubits(state, _perm_singled(singled))
-    a0, a1, t_val, p0, p1 = coeffs = _quartic_coefficients(moved)
-    val48, val_j, n_sq = _quartic_invariants(*coeffs)
-    return TripleInvariants(
-        singled=singled, i3_0=a0, i3_1=a1, t=t_val, p0=p0, p1=p1,
-        i48=val48, j12=val_j, delta24=complex(val48 ** 3 - 27 * val_j ** 2),
-        n_sq=n_sq, dres=float(n_sq - 2 * abs(val48)),
-    )
+    coeffs = _quartic_coefficients(_move_last(state, singled))
+    return TripleInvariants(singled=singled, **_quartic_invariants(*coeffs))
 
 
 def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
@@ -303,7 +306,7 @@ def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
     for br in (0, 1):
         for bs in (0, 1):
             spec = FontSpec(p, (p, q), (0,), ((spect[0], br), (spect[1], bs)))
-            total += abs(font_det(state, spec))
+            total += _modulus(font_det(state, spec))
     return float(total)
 
 
@@ -345,7 +348,7 @@ def i26_symmetric(state: PureState) -> float:
 
 def tau48_from_i48(value: complex) -> float:
     """Monotone 4*sqrt(12*|i48|), normalized to 1 on maximal four-body correlation."""
-    return float(4.0 * np.sqrt(12.0 * abs(value)))
+    return float(4.0 * np.sqrt(12.0 * _modulus(value)))
 
 
 @dataclass(frozen=True)
@@ -400,7 +403,7 @@ def aggregate_invariants(state: PureState, tol: float = DEFAULT_TOL) -> FourQubi
     head = triples[3]
     return FourQubitReport(
         i4=val_i4,
-        tau4=4.0 * abs(val_i4),
+        tau4=4.0 * _modulus(val_i4),
         triples=triples,
         pair_sums=pair_det_sums(state),
         n44_sq=float(n44_sq),
@@ -408,6 +411,6 @@ def aggregate_invariants(state: PureState, tol: float = DEFAULT_TOL) -> FourQubi
         i26=i26(state),
         i26_sym=i26_symmetric(state),
         tau48=tau48_from_i48(head.i48),
-        cross_triple_i48_dev=float(max(abs(tr.i48 - head.i48) for tr in triples)),
+        cross_triple_i48_dev=float(max(_modulus(tr.i48 - head.i48) for tr in triples)),
         tol=tol,
     )

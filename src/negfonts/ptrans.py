@@ -106,8 +106,8 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteResult("matrix has NaN or infinite entries")
-    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-        raise NotHermitian("matrix is not Hermitian within 1e-10")
+    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * np.max(np.abs(m)):
+        raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
     return np.linalg.eigvalsh(m)
 
 

@@ -99,8 +99,8 @@ def read_state_file(path: str) -> PureState:
 
 
 def cnum(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag, "abs": abs(z)}
+    z = np.complex128(z)    # abs saturates to inf instead of raising
+    return {"re": float(z.real), "im": float(z.imag), "abs": float(abs(z))}
 
 
 def _pair_key(pair) -> str:

@@ -8,7 +8,8 @@ from itertools import count
 import numpy as np
 import pytest
 
-from negfonts import aggregate_invariants, catalog_state, make_state, normalize
+from negfonts import (aggregate_invariants, catalog_state, make_state, normalize,
+                      random_state)
 from negfonts.cli import main
 from negfonts.stateio import read_state_file, write_state_file
 
@@ -185,12 +186,24 @@ def test_classify_font_min_drift_exit_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ("GHZ4", "GHZ3", "Bell"))
-def test_invariants_non_finite_exit_3(tmp_path, capsys, name):
-    # squares of 1e200 overflow, so the raw-coefficient report cannot be finite
+# (state, scale) whose raw-coefficient report cannot be finite: squares of
+# 1e200 overflow, and at 1e40 and 1e60 the degree-24 discriminant does, at 1e80
+# the three-qubit squared negativity
+NON_FINITE = (
+    pytest.param("GHZ4", 1e200, id="GHZ4"),
+    pytest.param("GHZ3", 1e200, id="GHZ3"),
+    pytest.param("Bell", 1e200, id="Bell"),
+    pytest.param("GHZ4", 1e40, id="GHZ4-1e40"),
+    pytest.param("GHZ4", 1e60, id="GHZ4-1e60"),
+    pytest.param("GHZ3", 1e80, id="GHZ3-1e80"),
+)
+
+
+@pytest.mark.parametrize("name, scale", NON_FINITE)
+def test_invariants_non_finite_exit_3(tmp_path, capsys, name, scale):
     base = catalog_state(name)
     path = tmp_path / "huge.txt"
-    write_state_file(str(path), make_state(base.n_qubits, base.amps * 1e200))
+    write_state_file(str(path), make_state(base.n_qubits, base.amps * scale))
     report = tmp_path / "report.json"
     with np.errstate(all="ignore"):
         code, out, err = run(capsys, "invariants", "--in", str(path), "--no-normalize",
@@ -202,12 +215,12 @@ def test_invariants_non_finite_exit_3(tmp_path, capsys, name):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("name", ("GHZ4", "GHZ3", "Bell"))
-def test_invariants_non_finite_exit_3_without_warnings(tmp_path, capsys, name):
+@pytest.mark.parametrize("name, scale", NON_FINITE)
+def test_invariants_non_finite_exit_3_without_warnings(tmp_path, capsys, name, scale):
     # no errstate here: main itself must keep numpy from warning on the way
     base = catalog_state(name)
     path = tmp_path / "huge.txt"
-    write_state_file(str(path), make_state(base.n_qubits, base.amps * 1e200))
+    write_state_file(str(path), make_state(base.n_qubits, base.amps * scale))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, "invariants", "--in", str(path), "--no-normalize")
@@ -215,6 +228,22 @@ def test_invariants_non_finite_exit_3_without_warnings(tmp_path, capsys, name):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_invariants_no_traceback_at_any_scale(tmp_path, capsys, n):
+    base = random_state(n, 5)
+    path = tmp_path / "scaled.txt"
+    # 154.7: the real and imaginary parts of some 2x2 dets fit a float, but
+    # their moduli do not
+    for power in (*range(0, 308, 11), 154.7):
+        write_state_file(str(path), make_state(n, base.amps * 10.0 ** power))
+        code, out, err = run(capsys, "invariants", "--in", str(path), "--no-normalize")
+        if code == 0:
+            assert err == ""
+        else:
+            assert (code, out) == (3, ""), power
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_negativity_cli(tmp_path, capsys):
@@ -264,6 +293,22 @@ def test_sweep_cli(tmp_path, capsys):
     i48_col = header.index("i48_num_re")
     for line in out.splitlines()[1:]:
         assert abs(float(line.split(",")[i48_col])) < 1e-12
+
+
+def test_sweep_non_finite_exit_3(tmp_path, capsys):
+    # the degree-24 discriminant overflows at the first two points, the closed
+    # forms' powers at the third; a NaN must not pass as a zero deviation
+    out_csv = tmp_path / "sweep.csv"
+    for family, params in (("Psi_ab", ("a=1e20", "b=1")),
+                           ("G_abcd", ("a=1e40", "b=1", "c=2", "d=3")),
+                           ("Psi_ab", ("a=1e80", "b=1"))):
+        argv = ["sweep", "--family", family, "--out", str(out_csv)]
+        for p in params:
+            argv += ["--param", p]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), family
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_csv.exists()
 
 
 def test_sweep_bad_grid(capsys):

@@ -125,6 +125,23 @@ def test_eigenvalues_simple():
         hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("scale", (1e4, 1e-4))
+def test_kway_spectra_scale_with_the_state(scale):
+    # the Hermiticity check is relative, so an unnormalized state's transposes
+    # pass it and their spectra are scale**2 times the unit state's
+    unit = random_state(4, 3)
+    scaled = make_state(4, unit.amps * scale)
+    for p in range(1, 5):
+        for k in range(2, 5):
+            expected = scale ** 2 * hermitian_eigenvalues(
+                kway_pt(density_from_pure(unit), p, k, 4))
+            got = hermitian_eigenvalues(kway_pt(density_from_pure(scaled), p, k, 4))
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+            negative_eigenvalues(scaled, p, k)
+            negativity(scaled, p, k)
+
+
 def test_eigenvalues_trace_and_reconstruction():
     rng = np.random.default_rng(31)
     for _ in range(20):
