@@ -18,8 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (MissingParameter, NonFiniteResult, SearchDrift, UnknownFamily,
-                     WrongArity)
+from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
+                     UnknownFamily, WrongArity)
 from .fonts import _det_moduli, _det_orders, _qubit_first, font_counts
 from .invariants import (DEFAULT_TOL, _quartic_invariants, aggregate_invariants,
                          tau48_from_i48)
@@ -411,6 +411,9 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     """
     if state.n_qubits != 4:
         raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
+    if restarts < 0 or iters < 1:
+        raise BadBudget(f"font_minimize needs restarts >= 0 and iters >= 1, "
+                        f"got restarts={restarts}, iters={iters}")
     n = state.n_qubits
     norm = state.norm
     amps = state.amps

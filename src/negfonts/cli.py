@@ -22,9 +22,12 @@ from . import ptrans
 from . import stateio
 from .classify import SWEEP_FAMILIES, classify as run_classify, family_expected
 from .errors import (
+    BadBudget,
     BadGrid,
+    BadK,
     NegfontsError,
     NonFiniteResult,
+    QubitOutOfRange,
     SearchDrift,
     UnknownFamily,
     UnknownState,
@@ -96,10 +99,19 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _qubits(qubit: int | None, n: int) -> list[int]:
+    """The --qubit option, or every qubit when it is not given."""
+    if qubit is None:
+        return list(range(1, n + 1))
+    if not 1 <= qubit <= n:
+        raise QubitOutOfRange(f"--qubit must be in 1..{n}, got {qubit}")
+    return [qubit]
+
+
 def cmd_negativity(args) -> int:
     state = normalize(stateio.read_state_file(args.infile))
     n = state.n_qubits
-    qubits = [args.qubit] if args.qubit else list(range(1, n + 1))
+    qubits = _qubits(args.qubit, n)
     rows = {}
     for p in qubits:
         entry = {"global": ptrans.negativity(state, p)}
@@ -117,12 +129,14 @@ def cmd_negativity(args) -> int:
 def cmd_fonts(args) -> int:
     state = normalize(stateio.read_state_file(args.infile))
     n = state.n_qubits
-    qubits = [args.qubit] if args.qubit else list(range(1, n + 1))
+    qubits = _qubits(args.qubit, n)
+    if args.k is not None and not 2 <= args.k <= n:
+        raise BadK(f"--k must be in 2..{n}, got {args.k}")
     payload = {}
     for p in qubits:
         listing = []
         for spec, det in fonts_mod.all_font_dets(state, p):
-            if args.k and spec.k != args.k:
+            if args.k is not None and spec.k != args.k:
                 continue
             listing.append({"label": spec.label(), "k": spec.k,
                             "det": stateio.cnum(det)})
@@ -243,6 +257,9 @@ def cmd_sweep(args) -> int:
             exp = np.complex128(expected[q])
             abs_dev = abs(num - exp)
             floor = max(abs(num), abs(exp), 1e-12 * scale[q])
+            if q == "dres":
+                # dres = n_sq - 2|i48| cancels, so its rounding is that of n_sq
+                floor = max(floor, head.n_sq, expected["n_triple_sq"])
             rel = abs_dev / floor if abs_dev else 0.0
             # checked before --out is opened: max() would pass a NaN over
             if not np.all(np.isfinite([num, exp, rel])):
@@ -340,7 +357,9 @@ CHECK_SUITES = {
 
 def cmd_check(args) -> int:
     runner, default_trials, default_tol = CHECK_SUITES[args.suite]
-    trials = args.trials if args.trials else default_trials
+    trials = args.trials if args.trials is not None else default_trials
+    if trials < 1:
+        raise BadBudget(f"--trials must be at least 1, got {trials}")
     tol = args.tol if args.tol is not None else default_tol
     worst, label = runner(trials, args.seed, tol)
     status = "ok" if worst <= tol else "VIOLATION"

@@ -33,6 +33,10 @@ class BadK(NegfontsError):
     """Coherence order K outside 2..n."""
 
 
+class BadBudget(NegfontsError):
+    """A trial, restart or iteration count is out of range."""
+
+
 class NotHermitian(NegfontsError):
     """Matrix fails the Hermiticity check."""
 

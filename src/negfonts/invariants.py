@@ -9,6 +9,7 @@ three-qubit slices with qubit 3 or qubit 4 fixed plus the four 4-way dets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -16,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import WrongArity
+from .fonts import FontSpec, font_det
 from .states import PureState, inverse_permutation, permute_qubits
 
 DEFAULT_TOL = 1e-9
@@ -77,16 +79,29 @@ def _dets3(amps: np.ndarray):
     return {(1, 2): pair12, (1, 3): pair13, (2, 3): pair23}, g000, g001
 
 
-def _three_way(pair_dets: dict, g000, g001):
-    """(g000 + g001)^2 - 4 D0 D1 from the dets of `_dets3`."""
-    d0, d1 = pair_dets[(1, 2)]
-    return (g000 + g001) ** 2 - 4 * d0 * d1
+def _canonical_sum(t: np.ndarray):
+    """g000 + g001 of t = amps as (2, 2, 2), associated as `_dets3` forms them."""
+    return ((t[0, 0, 0] * t[1, 1, 1] - t[1, 0, 0] * t[0, 1, 1])
+            + (t[0, 0, 1] * t[1, 1, 0] - t[1, 0, 1] * t[0, 1, 0]))
+
+
+def _three_way_terms(t: np.ndarray):
+    """((D0, D1), g000 + g001) of t = amps as (2, 2, 2): the pair (1,2) dets
+    with qubit 3 at 0 and 1 and the canonical sum, the only dets that the
+    three-way invariant reads."""
+    return (tuple(t[0, 0, b] * t[1, 1, b] - t[0, 1, b] * t[1, 0, b] for b in (0, 1)),
+            _canonical_sum(t))
+
+
+def _three_way(d, g):
+    """g^2 - 4 D0 D1 from the pair dets d = (D0, D1) and g = g000 + g001."""
+    return g ** 2 - 4 * d[0] * d[1]
 
 
 def three_way_invariant(state: PureState) -> complex:
     """Degree-4 invariant detecting GHZ-type three-body correlations."""
     _require(state, 3, "three_way_invariant")
-    return complex(_three_way(*_dets3(state.amps)))
+    return complex(_three_way(*_three_way_terms(state.amps.reshape(2, 2, 2))))
 
 
 def three_tangle(state: PureState) -> float:
@@ -127,7 +142,7 @@ class ThreeQubitReport:
 def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubitReport:
     _require(state, 3, "three_qubit_report")
     pair_dets, g000, g001 = _dets3(state.amps)
-    i3 = complex(_three_way(pair_dets, g000, g001))
+    i3 = complex(_three_way(pair_dets[(1, 2)], g000 + g001))
     norm = state.norm
     w_sums = {pair: float(abs(d[0]) + abs(d[1])) for pair, d in pair_dets.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
@@ -197,14 +212,10 @@ def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
     and the four 4-way dets.
     """
     t = state.amps.reshape(2, 2, 2, 2)
-    i3, d, e, f = [], [], [], []
-    for b in (0, 1):
-        pair_dets, g000, g001 = _dets3(t[..., b])
-        i3.append(_three_way(pair_dets, g000, g001))
-        d.append(pair_dets[(1, 2)])             # d[b][i]: qubit 3 at i, qubit 4 at b
-        e.append(g000 + g001)
-        _, h000, h001 = _dets3(t[:, :, b, :])
-        f.append(h000 + h001)
+    # d[b][i]: qubit 3 at i, qubit 4 at b
+    d, e = zip(*(_three_way_terms(t[..., b]) for b in (0, 1)))
+    i3 = [_three_way(d[b], e[b]) for b in (0, 1)]
+    f = [_canonical_sum(t[:, :, b, :]) for b in (0, 1)]
     d00, d01, d10, d11 = _four_way_dets(t)
     s4 = d00 + d01 + d10 + d11
     t_val = (s4 ** 2 / 6.0
@@ -223,7 +234,10 @@ def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
     to inf instead of raising."""
     i3_0, i3_1, t, p0, p1 = (np.complex128(c) for c in (i3_0, i3_1, t, p0, p1))
     val48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
-    val_j = np.linalg.det(np.array([[i3_1, p1, t], [p1, t, p0], [t, p0, i3_0]]))
+    # |i3_1 p1 t; p1 t p0; t p0 i3_0| by cofactors along the first row: LU
+    # would divide by a subnormal pivot when the coefficients underflow
+    val_j = (i3_1 * (t * i3_0 - p0 * p0) - p1 * (p1 * i3_0 - p0 * t)
+             + t * (p1 * p0 - t * t))
     n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
             + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
     return {
@@ -298,16 +312,18 @@ def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:
 def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
     """Sum of |det| over the four 2-way fonts of one pair (both spectators swept)."""
     _require(state, 4, "pair_det_sum")
-    from .fonts import FontSpec, font_det
-
-    p, q = sorted(pair)
-    spect = [x for x in (1, 2, 3, 4) if x not in (p, q)]
     total = 0.0
-    for br in (0, 1):
-        for bs in (0, 1):
-            spec = FontSpec(p, (p, q), (0,), ((spect[0], br), (spect[1], bs)))
-            total += _modulus(font_det(state, spec))
+    for spec in _pair_fonts(*sorted(pair)):
+        total += _modulus(font_det(state, spec))
     return float(total)
+
+
+@functools.cache
+def _pair_fonts(p: int, q: int) -> tuple:
+    """The four 2-way fonts of the pair p < q, spectator bits 00, 01, 10, 11."""
+    r, s = (x for x in (1, 2, 3, 4) if x not in (p, q))
+    return tuple(FontSpec(p, (p, q), (0,), ((r, br), (s, bs)))
+                 for br in (0, 1) for bs in (0, 1))
 
 
 def pair_det_sums(state: PureState) -> dict[tuple[int, int], float]:

@@ -246,6 +246,41 @@ def test_invariants_no_traceback_at_any_scale(tmp_path, capsys, n):
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_invariants_no_normalize_underflow_exit_0(tmp_path, capsys):
+    # the quartic coefficients of GHZ4 x 1e-80 underflow; j12 must stay finite
+    path = tmp_path / "tiny.txt"
+    write_state_file(str(path), make_state(4, catalog_state("GHZ4").amps * 1e-80))
+    code, out, err = run(capsys, "invariants", "--in", str(path), "--no-normalize")
+    assert (code, err) == (0, "")
+    head = json.loads(out)["four_qubit"]["headline"]
+    assert head["j12"]["abs"] == 0 and head["delta24"]["abs"] == 0
+
+
+@pytest.mark.parametrize("argv", (
+    ("negativity", "--qubit", "0"),
+    ("negativity", "--qubit", "5"),
+    ("fonts", "--qubit", "0"),
+    ("fonts", "--k", "0"),
+    ("fonts", "--k", "1"),
+    ("fonts", "--k", "7"),
+    ("classify", "--font-min", "--restarts", "-1"),
+    ("classify", "--font-min", "--iters", "0"),
+), ids=" ".join)
+def test_invalid_integer_option_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "ghz4.txt"
+    write_state_file(str(path), catalog_state("GHZ4"))
+    code, out, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ("0", "-2"))
+def test_check_invalid_trials_exit_2(capsys, trials):
+    code, out, err = run(capsys, "check", "--suite", "vanishing", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_negativity_cli(tmp_path, capsys):
     bell = tmp_path / "bell.txt"
     run(capsys, "catalog", "Bell", "--out", str(bell))
@@ -311,6 +346,40 @@ def test_sweep_non_finite_exit_3(tmp_path, capsys):
         assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("value", ("1e-3", "1e-30", "1e-21", "1e12"))
+def test_sweep_dres_cancellation_exit_0(capsys, value):
+    # dres = n_sq - 2|i48| cancels to 0 here; its deviation is relative to n_sq
+    code, out, _ = run(capsys, "sweep", "--family", "Psi_ab",
+                       "--param", f"a={value}", "--param", f"b={value}")
+    assert code == 0
+    header, row = out.splitlines()
+    rel = float(row.split(",")[header.split(",").index("dres_rel_dev")])
+    assert rel < 1e-14
+
+
+def test_sweep_dres_off_by_1e_6_exit_3(capsys, monkeypatch):
+    cli = importlib.import_module("negfonts.cli")
+    exact = cli.family_expected
+
+    def off(family, params):
+        expected = dict(exact(family, params))
+        expected["dres"] += 1e-6 * expected["n_triple_sq"]
+        return expected
+
+    monkeypatch.setattr(cli, "family_expected", off)
+    code, out, _ = run(capsys, "sweep", "--family", "Psi_ab",
+                       "--param", "a=1.3", "--param", "b=0.4")
+    assert code == 3
+    header, row = out.splitlines()
+    rel = float(row.split(",")[header.split(",").index("dres_rel_dev")])
+    assert rel == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_sweep_underflowing_coefficients_exit_0(capsys):
+    code, _, _ = run(capsys, "sweep", "--family", "L_a2_0_3p1t", "--param", "a=1e-78")
+    assert code == 0
+
+
 def test_sweep_bad_grid(capsys):
     code, _, err = run(capsys, "sweep", "--family", "G_abcd", "--param", "a=1,2")
     assert code == 2
@@ -329,6 +398,11 @@ def test_check_suites(capsys):
                        "--tol", "1e-30")
     assert code == 3
     assert "VIOLATION" in out
+    # the default trial count and the printed line are unchanged
+    code, out, _ = run(capsys, "check", "--suite", "vanishing", "--seed", "4")
+    worst, label = importlib.import_module("negfonts.cli")._check_vanishing(100, 4, 1e-9)
+    assert (code, out) == (0, f"check vanishing: trials=100 seed=4 {label}={worst:.3e} "
+                              "tol=1.0e-09 [ok]\n")
 
 
 def test_reports_deterministic(tmp_path, capsys):

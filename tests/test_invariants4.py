@@ -12,8 +12,10 @@ from helpers import (
     scramble_special,
 )
 from negfonts import (
+    CATALOG,
     aggregate_invariants,
     apply_local_unitary,
+    catalog_names,
     catalog_state,
     delta24,
     i26,
@@ -30,6 +32,7 @@ from negfonts import (
     random_state,
     t_p_invariants,
     tau4,
+    three_way_invariant,
     triple_invariants,
 )
 from negfonts.errors import WrongArity
@@ -284,3 +287,84 @@ def test_i48_vanishes_on_products():
             s = random_product4(rng, split)
             assert abs(i48(s)) < 1e-12
     assert abs(i48(catalog_state("W4"))) < 1e-15
+
+
+def _dets3_coefficients(state):
+    """(i3_0, i3_1, T, P0, P1) from every det `_dets3` forms, kept as the
+    reference for the slimmer `_quartic_coefficients`."""
+    from negfonts.invariants import _dets3, _four_way_dets
+
+    t = state.amps.reshape(2, 2, 2, 2)
+    i3, d, e, f = [], [], [], []
+    for b in (0, 1):
+        pair_dets, g000, g001 = _dets3(t[..., b])
+        d0, d1 = pair_dets[(1, 2)]
+        i3.append((g000 + g001) ** 2 - 4 * d0 * d1)
+        d.append(pair_dets[(1, 2)])
+        e.append(g000 + g001)
+        _, h000, h001 = _dets3(t[:, :, b, :])
+        f.append(h000 + h001)
+    d00, d01, d10, d11 = _four_way_dets(t)
+    s4 = d00 + d01 + d10 + d11
+    t_val = (s4 ** 2 / 6.0
+             - (2.0 / 3.0) * f[0] * f[1]
+             + (1.0 / 3.0) * e[0] * e[1]
+             - (2.0 / 3.0) * (d[0][0] * d[1][1] + d[1][0] * d[0][1]))
+    p0, p1 = (0.5 * e[b] * s4 - (d[b][1] * f[0] + d[b][0] * f[1]) for b in (0, 1))
+    return tuple(complex(c) for c in (i3[0], i3[1], t_val, p0, p1))
+
+
+def _bits(value) -> tuple[str, str]:
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def test_quartic_coefficients_match_dets3_reference():
+    from negfonts.invariants import _dets3, _move_last, _quartic_coefficients
+
+    haar = [random_state(4, (1801, trial)) for trial in range(60)]
+    states = list(haar)
+    for scale in (1e-30, 1e30):
+        states += [make_state(4, s.amps * scale) for s in haar]
+    states += [catalog_state(name, {p: 0.7 - 0.3j for p in CATALOG[name].params})
+               for name in catalog_names() if CATALOG[name].n_qubits == 4]
+    for s in states:
+        for singled in (1, 2, 3, 4):
+            ref = _dets3_coefficients(_move_last(s, singled))
+            assert list(map(_bits, _quartic_coefficients(_move_last(s, singled)))) \
+                == list(map(_bits, ref))
+            i3_0, i3_1, t, p0, p1 = (np.complex128(c) for c in ref)
+            val48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
+            n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
+                    + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+            with np.errstate(over="ignore", invalid="ignore"):   # j12 overflows at 1e30
+                got = triple_invariants(s, singled)
+            assert _bits(got.i48) == _bits(val48)
+            assert got.n_sq.hex() == float(n_sq).hex()
+            assert got.dres.hex() == float(n_sq - 2 * abs(val48)).hex()
+        s3 = make_state(3, s.amps[::2])
+        pair_dets, g000, g001 = _dets3(s3.amps)
+        d0, d1 = pair_dets[(1, 2)]
+        assert _bits(three_way_invariant(s3)) == _bits((g000 + g001) ** 2 - 4 * d0 * d1)
+
+
+def test_j12_finite_when_coefficients_underflow():
+    # the quartic coefficients of GHZ4 x 1e-80 are subnormal or zero; an LU
+    # factorization divides by them and returned NaN
+    report = aggregate_invariants(make_state(4, catalog_state("GHZ4").amps * 1e-80))
+    for tr in report.triples:
+        assert tr.j12 == 0
+        assert tr.delta24 == 0
+
+
+def test_j12_closed_form_matches_lu():
+    worst = 0.0
+    for trial in range(500):
+        s = random_state(4, (1803, trial))
+        for singled in (1, 2, 3, 4):
+            tr = triple_invariants(s, singled)
+            hankel = np.array([[tr.i3_1, tr.p1, tr.t], [tr.p1, tr.t, tr.p0],
+                               [tr.t, tr.p0, tr.i3_0]])
+            size = max(abs(c) for c in (tr.i3_0, tr.i3_1, tr.t, tr.p0, tr.p1))
+            worst = max(worst, abs(tr.j12 - np.linalg.det(hankel)) / size ** 3)
+    assert worst < 1e-13
