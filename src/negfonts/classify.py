@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
-                     UnknownFamily, WrongArity)
+                     UnknownFamily, WrongArity, check_tolerance)
 from .fonts import _det_moduli, _det_orders, _qubit_first, font_counts
 from .invariants import (DEFAULT_TOL, _quartic_invariants, aggregate_invariants,
                          tau48_from_i48)
@@ -104,6 +104,7 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
     """Assign a four-qubit state to one of the seven major classes."""
     if state.n_qubits != 4:
         raise WrongArity(f"classify requires n=4, got n={state.n_qubits}")
+    check_tolerance(tol)
     notes: list[str] = []
     work = normalize(state)
 
@@ -112,7 +113,7 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
         return ClassReport(UNENTANGLED, sig, False,
                            ("separable across every single-qubit cut",), tol, 0.0)
 
-    report = aggregate_invariants(work, tol)
+    report = aggregate_invariants(work)
     i48_max = max(abs(tr.i48) for tr in report.triples)
     dres_max = max(tr.dres for tr in report.triples)
     delta_max = max(abs(tr.delta24) for tr in report.triples)
@@ -414,6 +415,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     if restarts < 0 or iters < 1:
         raise BadBudget(f"font_minimize needs restarts >= 0 and iters >= 1, "
                         f"got restarts={restarts}, iters={iters}")
+    check_tolerance(tol)
     n = state.n_qubits
     norm = state.norm
     amps = state.amps

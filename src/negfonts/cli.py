@@ -15,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from . import __version__
 from . import catalog as cat
 from . import fonts as fonts_mod
 from . import invariants as inv
@@ -33,6 +34,7 @@ from .errors import (
     UnknownState,
     UnsupportedArity,
     WrongArity,
+    check_tolerance,
 )
 from .states import (
     PureState,
@@ -48,20 +50,31 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_ARITY = 4
 
+SCHEMA = "negfonts/report-v1"
 
-def _emit(doc: dict, out: str | None) -> None:
+
+def _write(out: str | None, text: str) -> None:
+    """Put finished text in the --out file, or on stdout without one."""
     if out:
-        # serialize first: a report that cannot be written leaves no file
-        text = io.StringIO()
-        stateio.dump_report(doc, text)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text.getvalue())
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        stateio.dump_report(doc, sys.stdout)
+        sys.stdout.write(text)
 
 
-def _input_desc(path: str, state: PureState, normalized: bool) -> dict:
-    return {"path": path, "n_qubits": state.n_qubits, "normalized": normalized}
+def _report(args, state: PureState, payload: dict, normalized: bool = True,
+            seed: int | None = None) -> int:
+    """Write payload in the report envelope.  The report is serialized before
+    --out is opened, so one that cannot be written leaves no file."""
+    doc = {"schema": SCHEMA, "version": __version__, "tolerance": args.tol,
+           "input": {"path": args.infile, "n_qubits": state.n_qubits,
+                     "normalized": normalized}}
+    if seed is not None:
+        doc["seed"] = seed
+    text = io.StringIO()
+    stateio.dump_report({**doc, **payload}, text)
+    _write(args.out, text.getvalue())
+    return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
@@ -76,14 +89,9 @@ def cmd_invariants(args) -> int:
         payload = {"three_qubit": stateio.three_report_dict(
             inv.three_qubit_report(work, args.tol))}
     else:
-        report = inv.aggregate_invariants(work, args.tol)
-        payload = {"four_qubit": stateio.four_report_dict(report, triple=args.triple)}
-    doc = stateio.wrap_report(payload,
-                              input_desc=_input_desc(args.infile, work,
-                                                     not args.no_normalize),
-                              tol=args.tol)
-    _emit(doc, args.out)
-    return EXIT_OK
+        payload = {"four_qubit": stateio.four_report_dict(
+            inv.aggregate_invariants(work), triple=args.triple)}
+    return _report(args, work, payload, normalized=not args.no_normalize)
 
 
 def cmd_classify(args) -> int:
@@ -92,11 +100,8 @@ def cmd_classify(args) -> int:
         raise UnsupportedArity(f"classify supports n=4, got n={state.n_qubits}")
     report = run_classify(state, tol=args.tol, use_font_min=args.font_min,
                           seed=args.seed, restarts=args.restarts, iters=args.iters)
-    doc = stateio.wrap_report({"class_report": stateio.class_report_dict(report)},
-                              input_desc=_input_desc(args.infile, state, True),
-                              tol=args.tol, seed=args.seed if args.font_min else None)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return _report(args, state, {"class_report": stateio.class_report_dict(report)},
+                   seed=args.seed if args.font_min else None)
 
 
 def _qubits(qubit: int | None, n: int) -> list[int]:
@@ -119,11 +124,7 @@ def cmd_negativity(args) -> int:
             entry[f"kway_{k}"] = ptrans.negativity(state, p, k)
         entry["negative_eigenvalues"] = list(ptrans.negative_eigenvalues(state, p))
         rows[str(p)] = entry
-    doc = stateio.wrap_report({"negativity": rows},
-                              input_desc=_input_desc(args.infile, state, True),
-                              tol=args.tol)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return _report(args, state, {"negativity": rows})
 
 
 def cmd_fonts(args) -> int:
@@ -145,11 +146,7 @@ def cmd_fonts(args) -> int:
                        for k, v in fonts_mod.font_counts(state, p, args.tol).items()},
             "fonts": listing,
         }
-    doc = stateio.wrap_report({"fonts": payload},
-                              input_desc=_input_desc(args.infile, state, True),
-                              tol=args.tol)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return _report(args, state, {"fonts": payload})
 
 
 def _parse_param(text: str) -> tuple[str, complex]:
@@ -171,7 +168,11 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     if not args.name:
         raise UnknownState("no state name given (use --list to see the catalog)")
-    params = dict(_parse_param(p) for p in list(args.params) + args.param)
+    params = {}
+    for name, value in map(_parse_param, [*args.params, *args.param]):
+        if name in params:
+            raise BadGrid(f"parameter {name!r} given twice")
+        params[name] = value
     state = cat.catalog_state(args.name, params)
     if args.normalize:
         state = normalize(state)
@@ -222,6 +223,8 @@ def cmd_sweep(args) -> int:
         name = name.strip()
         if name not in param_names:
             raise BadGrid(f"{family} has no parameter {name!r}")
+        if name in grid_axes:
+            raise BadGrid(f"parameter {name!r} given twice")
         grid_axes[name] = _parse_grid_values(text)
     missing = [p for p in param_names if p not in grid_axes]
     if missing:
@@ -271,14 +274,9 @@ def cmd_sweep(args) -> int:
                     stateio.fmt(abs_dev), stateio.fmt(rel)]
         rows.append(row)
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    _write(args.out, text.getvalue())
     print(f"sweep {family}: {len(rows)} points, worst relative deviation {worst:.3e}",
           file=sys.stderr)
     return EXIT_OK if worst <= args.max_rel else EXIT_VIOLATION
@@ -446,6 +444,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, value in (("--tol", getattr(args, "tol", None)),
+                            ("--max-rel", getattr(args, "max_rel", None))):
+            if value is not None:
+                check_tolerance(value, flag)
         # overflowed or undefined intermediates surface as NonFiniteResult
         # (exit 3), so numpy's own RuntimeWarnings would only add noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

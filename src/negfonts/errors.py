@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check."""
+
+import math
 
 
 class NegfontsError(Exception):
@@ -35,6 +37,16 @@ class BadK(NegfontsError):
 
 class BadBudget(NegfontsError):
     """A trial, restart or iteration count is out of range."""
+
+
+class BadTolerance(NegfontsError):
+    """A zero tolerance or threshold is negative or not finite."""
+
+
+def check_tolerance(tol: float, name: str = "tol") -> None:
+    """Raise BadTolerance unless 0 <= tol < inf (NaN fails both comparisons)."""
+    if not 0 <= tol < math.inf:
+        raise BadTolerance(f"{name} must be finite and at least 0, got {tol}")
 
 
 class NotHermitian(NegfontsError):

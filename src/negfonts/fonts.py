@@ -28,7 +28,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import QubitOutOfRange, SpecMismatch, WrongArity
+from .errors import QubitOutOfRange, SpecMismatch, WrongArity, check_tolerance
 from .states import PureState, index_of_bits
 
 DEFAULT_TOL = 1e-9
@@ -200,6 +200,7 @@ def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_T
     divided by their largest modulus, so dets neither overflow nor underflow
     at any finite scale.
     """
+    check_tolerance(tol)
     n = state.n_qubits
     enumerate_fonts(n, p, k)                # cached; checks p and k
     if not state.normalized:

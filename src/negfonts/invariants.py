@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import WrongArity
+from .errors import WrongArity, check_tolerance
 from .fonts import FontSpec, font_det
 from .states import PureState, inverse_permutation, permute_qubits
 
@@ -136,11 +136,11 @@ class ThreeQubitReport:
     i3_is_zero: bool           # branch flag: w_sums are invariants only here
     w_sums: dict               # pair -> |D0| + |D1|
     i2_w: float                # W-type detector built from the w_sums
-    tol: float
 
 
 def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubitReport:
     _require(state, 3, "three_qubit_report")
+    check_tolerance(tol)
     pair_dets, g000, g001 = _dets3(state.amps)
     i3 = complex(_three_way(pair_dets[(1, 2)], g000 + g001))
     norm = state.norm
@@ -161,7 +161,6 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
         i3_is_zero=is_negligible(i3, 4, norm, tol),
         w_sums=w_sums,
         i2_w=float(3.0 * (w12 * w13 + w12 * w23 + w13 * w23)),
-        tol=tol,
     )
 
 
@@ -381,7 +380,6 @@ class FourQubitReport:
     i26_sym: float
     tau48: float
     cross_triple_i48_dev: float  # max |i48(singled) - i48(4)| over singled
-    tol: float
 
     @property
     def headline(self) -> TripleInvariants:
@@ -407,7 +405,7 @@ class FourQubitReport:
         return self.triples[singled - 1].n_sq
 
 
-def aggregate_invariants(state: PureState, tol: float = DEFAULT_TOL) -> FourQubitReport:
+def aggregate_invariants(state: PureState) -> FourQubitReport:
     """Assemble the full four-qubit invariant report."""
     _require(state, 4, "aggregate_invariants")
     triples = tuple(triple_invariants(state, singled) for singled in (1, 2, 3, 4))
@@ -428,5 +426,4 @@ def aggregate_invariants(state: PureState, tol: float = DEFAULT_TOL) -> FourQubi
         i26_sym=i26_symmetric(state),
         tau48=tau48_from_i48(head.i48),
         cross_triple_i48_dev=float(max(_modulus(tr.i48 - head.i48) for tr in triples)),
-        tol=tol,
     )

@@ -19,10 +19,8 @@ from typing import IO
 import numpy as np
 
 from .errors import NonFiniteResult, ParseError, ZeroVector
+from .invariants import tau48_from_i48
 from .states import PureState, bits_of_index, index_of_bits, make_state
-
-SCHEMA = "negfonts/report-v1"
-VERSION = "0.1.0"
 
 
 def fmt(x: float) -> str:
@@ -149,15 +147,9 @@ def four_report_dict(report, triple: int = 4) -> dict:
         "n48": report.n48,
         "i26": report.i26,
         "i26_sym": report.i26_sym,
-        "tau48": tau48_of(report, triple),
+        "tau48": tau48_from_i48(head.i48),
         "cross_triple_i48_dev": report.cross_triple_i48_dev,
     }
-
-
-def tau48_of(report, triple: int) -> float:
-    from .invariants import tau48_from_i48
-
-    return tau48_from_i48(report.triples[triple - 1].i48)
 
 
 def class_report_dict(report) -> dict:
@@ -176,20 +168,6 @@ def class_report_dict(report) -> dict:
         "tolerance": report.tolerance,
         "tau48": report.tau48,
     }
-
-
-def wrap_report(payload: dict, *, input_desc: dict, tol: float,
-                seed: int | None = None) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "version": VERSION,
-        "input": input_desc,
-        "tolerance": tol,
-    }
-    if seed is not None:
-        doc["seed"] = seed
-    doc.update(payload)
-    return doc
 
 
 def dump_report(doc: dict, stream: IO[str]) -> None:

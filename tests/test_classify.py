@@ -22,10 +22,12 @@ from negfonts import (
     make_state,
     normalize,
     random_state,
+    three_qubit_report,
     triple_invariants,
 )
 from negfonts.classify import _accept_improvements, _decide, _det_moduli, _rotated_amps
-from negfonts.errors import MissingParameter, SearchDrift, UnknownFamily, WrongArity
+from negfonts.errors import (BadTolerance, MissingParameter, SearchDrift, UnknownFamily,
+                             WrongArity)
 
 classify_module = importlib.import_module("negfonts.classify")
 
@@ -89,6 +91,20 @@ def test_font_counts_scale_free(name, exponent):
 def test_requires_four_qubits():
     with pytest.raises(WrongArity):
         classify(normalize(catalog_state("GHZ3")))
+
+
+@pytest.mark.parametrize("tol", (-1.0, -1e-300, float("nan"), float("inf")))
+def test_bad_tolerance_is_typed(tol):
+    w4 = normalize(catalog_state("W4"))
+    for call in (lambda: classify(w4, tol=tol),
+                 lambda: font_minimize(w4, restarts=1, iters=1, tol=tol),
+                 lambda: count_nonzero_fonts(w4, 1, 2, tol),
+                 lambda: font_counts(w4, 1, tol),
+                 lambda: three_qubit_report(catalog_state("W3"), tol)):
+        with pytest.raises(BadTolerance):
+            call()
+    # a zero tolerance stays valid: W4 is still class VII
+    assert classify(w4, tol=0.0).major_class == "VII"
 
 
 def test_determinism():

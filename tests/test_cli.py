@@ -265,13 +265,36 @@ def test_invariants_no_normalize_underflow_exit_0(tmp_path, capsys):
     ("fonts", "--k", "7"),
     ("classify", "--font-min", "--restarts", "-1"),
     ("classify", "--font-min", "--iters", "0"),
+    ("classify", "--tol", "-1"),
+    ("classify", "--tol", "nan"),
+    ("classify", "--tol", "inf"),
+    ("fonts", "--tol", "-1"),
+    ("invariants", "--tol=-1e-9"),
+    ("negativity", "--tol", "nan"),
+    ("check", "--suite", "vanishing", "--tol", "nan"),
+    ("sweep", "--family", "Psi_ab", "--param", "a=1", "--param", "b=1", "--max-rel", "-1"),
+    ("sweep", "--family", "Psi_ab", "--param", "a=1", "--param", "b=1", "--max-rel", "nan"),
 ), ids=" ".join)
 def test_invalid_integer_option_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "ghz4.txt"
     write_state_file(str(path), catalog_state("GHZ4"))
-    code, out, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+    infile = () if argv[0] in ("check", "sweep") else ("--in", str(path))
+    code, out, err = run(capsys, argv[0], *infile, *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (
+    ("catalog", "Psi_a", "a=1", "a=2"),
+    ("catalog", "Psi_a", "a=1", "--param", "a=2"),
+    ("sweep", "--family", "L_a2b2", "--param", "a=1", "--param", "a=2", "--param", "b=1"),
+), ids=" ".join)
+def test_repeated_parameter_exit_2(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: parameter 'a' given twice\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("trials", ("0", "-2"))
@@ -403,6 +426,26 @@ def test_check_suites(capsys):
     worst, label = importlib.import_module("negfonts.cli")._check_vanishing(100, 4, 1e-9)
     assert (code, out) == (0, f"check vanishing: trials=100 seed=4 {label}={worst:.3e} "
                               "tol=1.0e-09 [ok]\n")
+
+
+@pytest.mark.parametrize("argv", (
+    ("invariants", "--triple", "2"),
+    ("classify",),
+    ("negativity", "--qubit", "2"),
+    ("fonts", "--k", "3"),
+    ("sweep", "--family", "L_abc2", "--param", "a=0.8", "--param", "b=0.2:1.8:5",
+     "--param", "c=0.8"),
+), ids=lambda argv: argv[0])
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    if argv[0] != "sweep":
+        path = tmp_path / "psi.txt"
+        run(capsys, "catalog", "Psi_ab", "a=1", "b=0.5", "--out", str(path))
+        argv = (argv[0], "--in", str(path), *argv[1:])
+    code, printed, err = run(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "report.out"
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "", err)
+    assert out_path.read_bytes() == printed.encode("utf-8")
 
 
 def test_reports_deterministic(tmp_path, capsys):
