@@ -1,6 +1,7 @@
 """Major-class assignment, font minimization, family closed forms."""
 
 import importlib
+import math
 import warnings
 from functools import reduce
 from itertools import count, product
@@ -215,6 +216,63 @@ def test_classification_stable_under_scrambling():
             report = classify(scrambled, use_font_min=True, seed=trial,
                               restarts=restarts, iters=60)
             assert report.major_class == expected, (name, trial, report)
+
+
+def plausible_misses(trials, rate, alpha=1e-3):
+    """Most misses of `trials` that are still plausible (P(X >= m) >= alpha) at `rate`."""
+    tail, misses = 1.0, 0
+    while misses < trials:
+        tail -= math.comb(trials, misses) * rate ** misses * (1 - rate) ** (trials - misses)
+        if tail < alpha:
+            break
+        misses += 1
+    return misses
+
+
+def test_plausible_misses():
+    assert plausible_misses(4, 0.15) == 3
+    assert plausible_misses(24, 0.15) == 10
+    assert plausible_misses(10, 0.0) == 0
+
+
+def test_c1_recovery_rate():
+    # C1's orbit holds an equal-count class-I frame that 16 restarts settle in
+    # for about 1 search in 7; more misses than that rate explains (p < 1e-3)
+    # means the search lost quality
+    trials, rate = 24, 0.15
+    base = normalize(catalog_state("C1"))
+    missed = []
+    for trial in range(trials):
+        scrambled = scramble_special(base, (5303, trial))
+        report = classify(scrambled, use_font_min=True, seed=trial, restarts=16, iters=60)
+        if report.major_class != "III":
+            missed.append((trial, report.major_class))
+    assert len(missed) <= plausible_misses(trials, rate), missed
+
+
+def test_font_minimize_trace_layout(monkeypatch):
+    # the benchmark tracer reads restart wins and Clifford rounds from this
+    # layout: the input, then one row per restart, then one per Clifford round
+    refine = classify_module._clifford_refine
+    rounds = []
+
+    def spy(*args):
+        out = refine(*args)
+        rounds.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(classify_module, "_clifford_refine", spy)
+    for idx, name in enumerate(("GHZ4", "W4", "C1")):
+        for restarts in (0, 1, 3):
+            rounds.clear()
+            scrambled = scramble_special(normalize(catalog_state(name)), (5309, idx, restarts))
+            _, trace = font_minimize(scrambled, restarts=restarts, iters=20, seed=restarts)
+            assert rounds and 1 <= rounds[0] <= 16
+            assert len(trace) == 1 + restarts + rounds[0]
+            assert [row[0] for row in trace] == list(range(len(trace)))
+            assert all(len(row) == 5 for row in trace)
+            objectives = [row[1:] for row in trace]
+            assert all(b <= a for a, b in zip(objectives, objectives[1:])), (name, trace)
 
 
 def _euler_reference(a, b, g):
