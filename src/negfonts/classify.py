@@ -214,13 +214,59 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _surrogate(amps: np.ndarray, norm: float, thetas: np.ndarray) -> np.ndarray:
-    """The smooth objective Powell minimizes, (..., 12) angles -> (...) values."""
+def _surrogate(amps: np.ndarray, norm: float, thetas: np.ndarray,
+               watch=None) -> np.ndarray:
+    """The smooth objective Powell minimizes, (..., 12) angles -> (...) values.
+
+    `watch`, when given, is shown the minor moduli of the rotated frames.
+    """
     # sqrt concentrates weight near zero, favoring sparse det profiles; the
     # amplitude term steers ties toward frames with few product terms
     out = _rotated_amps(amps, thetas)
-    return (_row_sums(np.sqrt(_det_moduli(out)))
+    moduli = _det_moduli(out)
+    if watch is not None:
+        watch(moduli)
+    return (_row_sums(np.sqrt(moduli))
             + 0.5 * _row_sums(np.sqrt(np.abs(out) / norm)))
+
+
+# the font search ends once the best (count, penalty) over every frame it has
+# evaluated has not improved for this many lock-step rounds; chosen on
+# held-out scrambles, see the README's "Font search" section
+_STALL_ROUNDS = 450
+
+
+class _Stall:
+    """Stop hook of the lock-step search: its best font count has stalled.
+
+    `watch` reads the minor moduli of each round's frames, as `_surrogate`
+    forms them, and keeps the best of the first two `_scores` fields (count
+    above `threshold`, penalty) over every frame evaluated so far, as the key
+    2 * count + penalty.  Called, the hook says whether that best is at least
+    `patience` rounds old.
+    """
+
+    def __init__(self, threshold: float, has_four_body: bool, patience: int):
+        four = _det_orders(4) == 4
+        # code = (fonts of order < 4 above) + 32 * (4-way fonts above); the 24
+        # lower-order fonts stay below 32, and `keys` maps each code to its
+        # key, so a round costs one matmul and one lookup
+        self.weights = np.where(four, 32, 1)
+        n4, lower = np.divmod(np.arange(32 * (int(four.sum()) + 1)), 32)
+        self.keys = 2 * (lower + n4) + ((n4 > 0) != has_four_body)
+        self.threshold = threshold
+        self.patience = patience
+        self.best = np.inf
+        self.rounds = self.improved = 0
+
+    def watch(self, moduli: np.ndarray) -> None:
+        self.rounds += 1
+        key = self.keys[(moduli > self.threshold) @ self.weights].min()
+        if key < self.best:
+            self.best, self.improved = key, self.rounds
+
+    def __call__(self) -> bool:
+        return self.rounds - self.improved >= self.patience
 
 
 def _scores(vecs: np.ndarray, tol: float, norm: float,
@@ -406,9 +452,22 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
 
     Minimal frames with different coherence-order splits exist on one orbit;
     the consistency flag and the product-term count pick the one that can be
-    canonical.  Returns (state, trace); trace rows are (step, *objective) for
-    the accepted best and never increase: row 0 is the input, then one row
-    per restart and one per Clifford round.
+    canonical.
+
+    The search is anytime: all restarts end together once the best
+    (count, penalty) over every frame evaluated so far, read from the minors
+    the surrogate already forms, has not fallen for `_STALL_ROUNDS` (450)
+    lock-step rounds; only a lower count, or a lower penalty at the same
+    count, counts as an improvement.  The font count a search ends at usually
+    appears well before Powell converges, and later rounds only polish the
+    surrogate.  Each restart's candidate is still its own Powell point (the
+    lowest-surrogate point it evaluated, if it was stopped), never the frame
+    that scored best, and the Clifford moves refine the best candidate as
+    before.
+
+    Returns (state, trace); trace rows are (step, *objective) for the
+    accepted best and never increase: row 0 is the input, then one row per
+    restart and one per Clifford round.
     """
     if state.n_qubits != 4:
         raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
@@ -434,8 +493,9 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
         starts[restart] = np.random.default_rng((seed, restart)).uniform(0, 2 * np.pi, 12)
     # the sqrt surrogate keeps shrinking visibly until dets sit well below
     # the count threshold, so moderate tolerances suffice
-    result = minimize(lambda thetas: _surrogate(amps, norm, thetas), starts,
-                      maxiter=iters, xtol=1e-6, ftol=1e-8, direc=_SEARCHED)
+    stall = _Stall(tol * norm ** 2, has_four_body, _STALL_ROUNDS)
+    result = minimize(lambda thetas: _surrogate(amps, norm, thetas, stall.watch), starts,
+                      maxiter=iters, xtol=1e-6, ftol=1e-8, direc=_SEARCHED, stop=stall)
     vecs = _rotated_amps(amps, result.x)
     for restart, (vec, score) in enumerate(zip(vecs, scores(vecs))):
         candidate = _row(score)

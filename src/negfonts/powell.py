@@ -159,12 +159,16 @@ def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float):
     return fret, p + xi, xi
 
 
-def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter: int):
-    """One Powell search from x0 over the rows of `direc` (updated in place)."""
+def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter: int,
+            sweeps: np.ndarray):
+    """One Powell search from x0 over the rows of `direc` (updated in place).
+
+    Counts its finished sweeps in the one-element array `sweeps`, so that a
+    search stopped from outside still reports them.
+    """
     x = np.array(x0, dtype=float)
     fval = yield x
     x1 = x.copy()
-    sweeps = 0
     while True:
         fx = fval
         bigind = 0
@@ -177,7 +181,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter
                 bigind = i
         sweeps += 1
         bnd = ftol * (abs(fx) + abs(fval)) + 1e-20
-        if 2.0 * (fx - fval) <= bnd or sweeps >= maxiter:
+        if 2.0 * (fx - fval) <= bnd or sweeps[0] >= maxiter:
             break
         if math.isnan(fx) and math.isnan(fval):
             break
@@ -196,7 +200,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter
                 if np.any(direc1):
                     direc[bigind] = direc[-1]
                     direc[-1] = direc1
-    return x, fval, sweeps
+    return x, fval
 
 
 class PowellResult(NamedTuple):
@@ -204,10 +208,12 @@ class PowellResult(NamedTuple):
     fun: np.ndarray         # (R,): the objective there
     nit: np.ndarray         # (R,): sweeps over the direction set
     nfev: int               # points evaluated, summed over the starts
+    rounds: int             # batched calls of the objective
 
 
 def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int,
-             xtol: float = 1e-4, ftol: float = 1e-4, direc=None) -> PowellResult:
+             xtol: float = 1e-4, ftol: float = 1e-4, direc=None,
+             stop: Callable[[], bool] | None = None) -> PowellResult:
     """Run Powell's method from every row of `x0` in lock-step.
 
     `fun` maps a (k, n) array of points to their k values.  Every start is
@@ -215,27 +221,40 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int,
     vectors); a start that searches fewer directions than n keeps its other
     coordinates fixed.  Each round evaluates the pending points of all
     unfinished starts in one `fun` call.
+
+    `stop`, when given, is called after every round; once it returns True,
+    the unfinished starts end at the lowest point they have evaluated.
+    Without it every start runs to Powell's own end.
     """
     starts = np.asarray(x0, dtype=float)
     if starts.ndim == 1:
         starts = starts[None]
     n = starts.shape[1]
     direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
-    runs = [_powell(x, direc.copy(), xtol, ftol, maxiter) for x in starts]
+    nit = np.zeros(len(starts), dtype=int)
+    runs = [_powell(x, direc.copy(), xtol, ftol, maxiter, nit[i:i + 1])
+            for i, x in enumerate(starts)]
     pending = {i: next(run) for i, run in enumerate(runs)}
     ends: list = [None] * len(runs)
-    nfev = 0
+    lowest = [(x, math.inf) for x in starts]   # per start: its lowest point so far
+    nfev = rounds = 0
     while pending:
         order = list(pending)
         values = np.asarray(fun(np.array([pending[i] for i in order])), dtype=float)
         nfev += len(order)
+        rounds += 1
         for i, value in zip(order, values.tolist()):
+            if value < lowest[i][1]:
+                lowest[i] = (pending[i], value)
             try:
                 pending[i] = runs[i].send(value)
-            except StopIteration as stop:
+            except StopIteration as end:
                 del pending[i]
-                ends[i] = stop.value
+                ends[i] = end.value
+        if stop is not None and pending and stop():
+            for i in pending:
+                ends[i] = lowest[i]
+            break
     return PowellResult(x=np.array([e[0] for e in ends]).reshape(len(runs), n),
-                        fun=np.array([e[1] for e in ends]),
-                        nit=np.array([e[2] for e in ends], dtype=int),
-                        nfev=nfev)
+                        fun=np.array([e[1] for e in ends]), nit=nit, nfev=nfev,
+                        rounds=rounds)

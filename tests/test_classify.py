@@ -250,6 +250,53 @@ def test_c1_recovery_rate():
     assert len(missed) <= plausible_misses(trials, rate), missed
 
 
+def test_stall_key_is_count_and_penalty_of_scores():
+    # the stop hook ranks frames by the first two `_scores` fields, read from
+    # the surrogate's moduli; coarse tolerances give sparse counts
+    rng = np.random.default_rng(5311)
+    states = [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
+    states.append(random_state(4, 5311))
+    for state in states:
+        thetas = rng.uniform(0, 2 * np.pi, (16, 12))
+        thetas[::2, 1::3] = 0.0             # some frames keep the sparse catalog form
+        frames = _rotated_amps(state.amps, thetas)
+        for tol in (1e-9, 1e-3, 0.05):
+            for has_four_body in (False, True):
+                stall = classify_module._Stall(tol * state.norm ** 2, has_four_body, 1)
+                seen = []
+                values = classify_module._surrogate(state.amps, state.norm, thetas,
+                                                    seen.append)
+                np.testing.assert_array_equal(
+                    values, classify_module._surrogate(state.amps, state.norm, thetas))
+                keys = stall.keys[(seen[0] > stall.threshold) @ stall.weights]
+                scores = classify_module._scores(frames, tol, state.norm, has_four_body)
+                np.testing.assert_array_equal(keys, 2 * scores[:, 0] + scores[:, 1])
+
+
+def test_font_search_stops_once_its_best_count_stalls(monkeypatch):
+    real = classify_module.minimize
+    runs = []
+
+    def spy(fun, x0, **options):
+        result = real(fun, x0, **options)
+        runs.append((options["stop"], result))
+        return result
+
+    monkeypatch.setattr(classify_module, "minimize", spy)
+    patience = classify_module._STALL_ROUNDS
+    scrambled = scramble_special(normalize(catalog_state("GHZ4")), (5303, 99))
+    minimized, _ = font_minimize(scrambled, restarts=4, iters=60, seed=1)
+    monkeypatch.setattr(classify_module, "_STALL_ROUNDS", math.inf)
+    unstopped, _ = font_minimize(scrambled, restarts=4, iters=60, seed=1)
+    (stall, stopped), (_, full) = runs
+    # the stop fired S rounds after the last improvement, well before Powell ended
+    assert stopped.rounds == stall.rounds == stall.improved + patience
+    assert stopped.rounds < full.rounds
+    assert stopped.nfev < full.nfev
+    for state in (minimized, unstopped):
+        assert [count_nonzero_fonts(state, 1, k) for k in (4, 3, 2)] == [1, 0, 0]
+
+
 def test_font_minimize_trace_layout(monkeypatch):
     # the benchmark tracer reads restart wins and Clifford rounds from this
     # layout: the input, then one row per restart, then one per Clifford round

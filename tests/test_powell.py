@@ -68,3 +68,53 @@ def test_no_starts():
     result = minimize(rowwise(rosenbrock), np.zeros((0, 3)), **OPTIONS)
     assert result.x.shape == (0, 3)
     assert result.nfev == 0
+
+
+def test_a_stop_hook_that_never_fires_changes_nothing():
+    ghz = normalize(catalog_state("GHZ4"))
+    state = scramble_special(ghz, (4127, 98))
+
+    def surrogate(thetas):
+        return classify_module._surrogate(state.amps, state.norm, thetas)
+
+    starts = np.random.default_rng(4129).uniform(0, 2 * np.pi, (4, 12))
+    calls = []
+    ref = minimize(surrogate, starts, direc=classify_module._SEARCHED, **OPTIONS)
+    got = minimize(surrogate, starts, direc=classify_module._SEARCHED,
+                   stop=lambda: calls.append(1) and False, **OPTIONS)
+    np.testing.assert_array_equal(got.x, ref.x)
+    np.testing.assert_array_equal(got.fun, ref.fun)
+    np.testing.assert_array_equal(got.nit, ref.nit)
+    assert (got.nfev, got.rounds) == (ref.nfev, ref.rounds)
+    # asked after every round but the last, which leaves no start running
+    assert len(calls) == ref.rounds - 1
+
+
+@pytest.mark.parametrize("after", (1, 2, 37, 400))
+def test_a_stop_hook_ends_every_start_at_its_lowest_point(after):
+    ghz = normalize(catalog_state("GHZ4"))
+    state = scramble_special(ghz, (4127, 97))
+    evaluated = []
+
+    def surrogate(thetas):
+        values = classify_module._surrogate(state.amps, state.norm, thetas)
+        evaluated.extend(zip(map(tuple, thetas), values))
+        return values
+
+    def f(x):
+        return classify_module._surrogate(state.amps, state.norm, x[None])[0]
+
+    starts = np.random.default_rng(4131).uniform(0, 2 * np.pi, (5, 12))
+    calls = []
+    result = minimize(surrogate, starts, direc=classify_module._SEARCHED,
+                      stop=lambda: calls.append(1) or len(calls) == after, **OPTIONS)
+    assert result.rounds == after
+    assert result.nfev == len(evaluated)
+    assert result.x.shape == (5, 12)
+    assert np.all(np.isfinite(result.fun))
+    for x, fun in zip(result.x, result.fun):
+        assert fun == f(x)
+        assert (tuple(x), fun) in evaluated
+    # every start began from its own row, and its end is no worse than that
+    assert np.all(result.fun <= [f(x) for x in starts])
+    assert np.all(result.nit <= OPTIONS["maxiter"])
