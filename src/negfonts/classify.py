@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
                      UnknownFamily, WrongArity, check_tolerance)
-from .fonts import _det_moduli, _det_orders, _qubit_first, font_counts
-from .invariants import (DEFAULT_TOL, _quartic_invariants, aggregate_invariants,
-                         tau48_from_i48)
+from .fonts import DEFAULT_TOL, _det_moduli, _det_orders, _qubit_first, font_counts
+from .invariants import (_quartic_invariants, aggregate_invariants, i4, i48,
+                         tau48_from_i48, triple_invariants)
 from .powell import minimize
 from .states import PureState, normalize
 
@@ -54,11 +54,9 @@ class ClassReport:
     tau48: float
 
 
-def _cut_entangled(state: PureState, p: int, tol: float) -> bool:
+def _cut_entangled(unit: PureState, p: int, tol: float) -> bool:
     """Qubit p is entangled with the rest iff some font for p has nonzero det."""
-    threshold = tol * state.norm ** 2
-    moduli = _det_moduli(_qubit_first(state, p))
-    return bool(np.any(moduli > threshold))
+    return bool(np.any(_det_moduli(_qubit_first(unit, p)) > tol))
 
 
 def _decide(i48_zero: bool, dres_zero: bool, delta_zero: bool,
@@ -214,8 +212,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _surrogate(amps: np.ndarray, norm: float, thetas: np.ndarray,
-               watch=None) -> np.ndarray:
+def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None) -> np.ndarray:
     """The smooth objective Powell minimizes, (..., 12) angles -> (...) values.
 
     `watch`, when given, is shown the minor moduli of the rotated frames.
@@ -227,7 +224,7 @@ def _surrogate(amps: np.ndarray, norm: float, thetas: np.ndarray,
     if watch is not None:
         watch(moduli)
     return (_row_sums(np.sqrt(moduli))
-            + 0.5 * _row_sums(np.sqrt(np.abs(out) / norm)))
+            + 0.5 * _row_sums(np.sqrt(np.abs(out))))
 
 
 # the font search ends once the best (count, penalty) over every frame it has
@@ -243,10 +240,10 @@ class _Stall:
     forms them, and keeps the best of the first two `_scores` fields (count
     above `threshold`, penalty) over every frame evaluated so far, as the key
     2 * count + penalty.  Called, the hook says whether that best is at least
-    `patience` rounds old.
+    `_STALL_ROUNDS` rounds old.
     """
 
-    def __init__(self, threshold: float, has_four_body: bool, patience: int):
+    def __init__(self, threshold: float, has_four_body: bool):
         four = _det_orders(4) == 4
         # code = (fonts of order < 4 above) + 32 * (4-way fonts above); the 24
         # lower-order fonts stay below 32, and `keys` maps each code to its
@@ -255,7 +252,6 @@ class _Stall:
         n4, lower = np.divmod(np.arange(32 * (int(four.sum()) + 1)), 32)
         self.keys = 2 * (lower + n4) + ((n4 > 0) != has_four_body)
         self.threshold = threshold
-        self.patience = patience
         self.best = np.inf
         self.rounds = self.improved = 0
 
@@ -266,21 +262,20 @@ class _Stall:
             self.best, self.improved = key, self.rounds
 
     def __call__(self) -> bool:
-        return self.rounds - self.improved >= self.patience
+        return self.rounds - self.improved >= _STALL_ROUNDS
 
 
-def _scores(vecs: np.ndarray, tol: float, norm: float,
-            has_four_body: bool) -> np.ndarray:
-    """The lexicographic objective of each vector on the last axis, as floats.
+def _scores(vecs: np.ndarray, tol: float, has_four_body: bool) -> np.ndarray:
+    """The lexicographic objective of each unit vector on the last axis, as floats.
 
     Fields: (fonts above tolerance, 0 if 4-way-font presence agrees with the
     degree-8 invariant else 1, sum of det moduli, nonzero amplitudes).
     """
     n = vecs.shape[-1].bit_length() - 1
     moduli = _det_moduli(vecs)
-    above = moduli > tol * norm ** 2
+    above = moduli > tol
     penalty = above[..., _det_orders(n) == n].any(-1) != has_four_body
-    support = (np.abs(vecs) > tol * norm).sum(-1)
+    support = (np.abs(vecs) > tol).sum(-1)
     return np.stack([above.sum(-1), penalty, _row_sums(moduli), support], -1).astype(float)
 
 
@@ -399,7 +394,7 @@ def _clifford_refine(vec: np.ndarray, best: tuple, scores, floor: float):
     return vec, best, rounds
 
 
-def _phase_gauge(vec: np.ndarray, n: int, amp_floor: float) -> np.ndarray:
+def _phase_gauge(vec: np.ndarray, amp_floor: float) -> np.ndarray:
     """Try to make every significant amplitude real via per-qubit z-rotations.
 
     For small supports the linear system (one z-angle per qubit plus a global
@@ -410,6 +405,7 @@ def _phase_gauge(vec: np.ndarray, n: int, amp_floor: float) -> np.ndarray:
     idx = np.where(np.abs(vec) > amp_floor)[0]
     if not 1 <= len(idx) <= 6:
         return vec
+    n = vec.size.bit_length() - 1
     shifts = np.arange(n - 1, -1, -1)
     bits = ((idx[:, None] >> shifts[None, :]) & 1) - 0.5
     rows = np.hstack([bits, np.ones((len(idx), 1))])
@@ -427,8 +423,6 @@ def _phase_gauge(vec: np.ndarray, n: int, amp_floor: float) -> np.ndarray:
 
 
 def _invariant_fingerprint(state: PureState) -> np.ndarray:
-    from .invariants import i4, triple_invariants
-
     rep = [abs(i4(state))]
     for singled in (1, 2, 3, 4):
         tr = triple_invariants(state, singled)
@@ -454,6 +448,10 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     the consistency flag and the product-term count pick the one that can be
     canonical.
 
+    The search runs on the state's direction: the input is normalized once,
+    tolerances are absolute on that unit vector, and the frame is returned
+    normalized.
+
     The search is anytime: all restarts end together once the best
     (count, penalty) over every frame evaluated so far, read from the minors
     the surrogate already forms, has not fallen for `_STALL_ROUNDS` (450)
@@ -466,8 +464,8 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     before.
 
     Returns (state, trace); trace rows are (step, *objective) for the
-    accepted best and never increase: row 0 is the input, then one row per
-    restart and one per Clifford round.
+    accepted best and never increase: row 0 is the normalized input, then one
+    row per restart and one per Clifford round.
     """
     if state.n_qubits != 4:
         raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
@@ -475,15 +473,12 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
         raise BadBudget(f"font_minimize needs restarts >= 0 and iters >= 1, "
                         f"got restarts={restarts}, iters={iters}")
     check_tolerance(tol)
-    n = state.n_qubits
-    norm = state.norm
-    amps = state.amps
-    from .invariants import i48 as _i48
-
-    has_four_body = bool(abs(_i48(state)) > tol * norm ** 8)
+    unit = state if state.normalized else normalize(state)
+    amps = unit.amps
+    has_four_body = bool(abs(i48(unit)) > tol)
 
     def scores(vecs: np.ndarray) -> np.ndarray:
-        return _scores(vecs, tol, norm, has_four_body)
+        return _scores(vecs, tol, has_four_body)
 
     best_vec = amps
     best = _row(scores(amps))
@@ -491,11 +486,11 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     starts = np.zeros((restarts, 12))
     for restart in range(1, restarts):
         starts[restart] = np.random.default_rng((seed, restart)).uniform(0, 2 * np.pi, 12)
-    # the sqrt surrogate keeps shrinking visibly until dets sit well below
-    # the count threshold, so moderate tolerances suffice
-    stall = _Stall(tol * norm ** 2, has_four_body, _STALL_ROUNDS)
-    result = minimize(lambda thetas: _surrogate(amps, norm, thetas, stall.watch), starts,
-                      maxiter=iters, xtol=1e-6, ftol=1e-8, direc=_SEARCHED, stop=stall)
+    # Powell's fixed tolerances are moderate; they suffice because the sqrt
+    # surrogate keeps shrinking visibly until dets sit well below `tol`
+    stall = _Stall(tol, has_four_body)
+    result = minimize(lambda thetas: _surrogate(amps, thetas, stall.watch), starts,
+                      maxiter=iters, direc=_SEARCHED, stop=stall)
     vecs = _rotated_amps(amps, result.x)
     for restart, (vec, score) in enumerate(zip(vecs, scores(vecs))):
         candidate = _row(score)
@@ -508,15 +503,15 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     # frames whose basins the continuous search does not connect; they need a
     # real amplitude gauge to line the phases up.  The gauge only touches
     # phases, so the objective is unchanged and it is safe to apply always.
-    best_vec = _phase_gauge(best_vec, n, tol * norm)
-    best_vec, best, rounds = _clifford_refine(best_vec, best, scores, 1e-9 * norm ** 2)
+    best_vec = _phase_gauge(best_vec, tol)
+    best_vec, best, rounds = _clifford_refine(best_vec, best, scores, 1e-9)
     trace.extend((restarts + 1 + k, *row) for k, row in enumerate(rounds))
 
     final = np.array(best_vec)
     final.setflags(write=False)
-    minimized = PureState(n, final, state.normalized)
+    minimized = PureState(4, final, normalized=True)
     drift = np.max(np.abs(_invariant_fingerprint(minimized)
-                          - _invariant_fingerprint(state)))
+                          - _invariant_fingerprint(unit)))
     if drift > 1e-8:
         raise SearchDrift(f"font minimization drifted an invariant by {drift:.3e}")
     return minimized, trace

@@ -16,11 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import WrongArity, check_tolerance
-from .fonts import FontSpec, font_det
+from .errors import QubitOutOfRange, WrongArity, check_tolerance
+from .fonts import DEFAULT_TOL, FontSpec, font_det
+from .ptrans import negativity
 from .states import PureState, inverse_permutation, permute_qubits
-
-DEFAULT_TOL = 1e-9
 
 PAIRS4 = tuple(combinations((1, 2, 3, 4), 2))
 
@@ -68,15 +67,23 @@ def i2_pair(state: PureState) -> float:
 # three qubits
 
 
+# the axes that move each three-qubit pair's spectator last, the pair keeping
+# its order: `_pair_dets` of the view are that pair's dets
+_SPECTATOR_LAST = {(1, 2): (0, 1, 2), (1, 3): (0, 2, 1), (2, 3): (1, 2, 0)}
+
+
+def _pair_dets(t: np.ndarray):
+    """(D0, D1): the pair (1,2) dets of t = amps as (2, 2, 2), qubit 3 at 0 and 1."""
+    return tuple(t[0, 0, b] * t[1, 1, b] - t[0, 1, b] * t[1, 0, b] for b in (0, 1))
+
+
 def _dets3(amps: np.ndarray):
     """Pair dets (spectator bit 0/1 for each pair) and the two canonical 3-way dets."""
     t = amps.reshape(2, 2, 2)
-    pair12 = tuple(t[0, 0, b] * t[1, 1, b] - t[0, 1, b] * t[1, 0, b] for b in (0, 1))
-    pair13 = tuple(t[0, b, 0] * t[1, b, 1] - t[0, b, 1] * t[1, b, 0] for b in (0, 1))
-    pair23 = tuple(t[b, 0, 0] * t[b, 1, 1] - t[b, 0, 1] * t[b, 1, 0] for b in (0, 1))
+    pair_dets = {pair: _pair_dets(t.transpose(axes)) for pair, axes in _SPECTATOR_LAST.items()}
     g000 = t[0, 0, 0] * t[1, 1, 1] - t[1, 0, 0] * t[0, 1, 1]
     g001 = t[0, 0, 1] * t[1, 1, 0] - t[1, 0, 1] * t[0, 1, 0]
-    return {(1, 2): pair12, (1, 3): pair13, (2, 3): pair23}, g000, g001
+    return pair_dets, g000, g001
 
 
 def _canonical_sum(t: np.ndarray):
@@ -86,11 +93,9 @@ def _canonical_sum(t: np.ndarray):
 
 
 def _three_way_terms(t: np.ndarray):
-    """((D0, D1), g000 + g001) of t = amps as (2, 2, 2): the pair (1,2) dets
-    with qubit 3 at 0 and 1 and the canonical sum, the only dets that the
-    three-way invariant reads."""
-    return (tuple(t[0, 0, b] * t[1, 1, b] - t[0, 1, b] * t[1, 0, b] for b in (0, 1)),
-            _canonical_sum(t))
+    """(`_pair_dets(t)`, g000 + g001) of t = amps as (2, 2, 2): the only dets
+    that the three-way invariant reads."""
+    return _pair_dets(t), _canonical_sum(t)
 
 
 def _three_way(d, g):
@@ -117,10 +122,11 @@ def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
     this form by relabeling.
     """
     _require(state, 3, "n_pair_sq")
-    spectator = ({1, 2, 3} - set(pair)).pop()
-    pair_dets, g000, g001 = _dets3(_move_last(state, spectator).amps)
-    d0, d1 = pair_dets[(1, 2)]
-    return float(abs(d0) ** 2 + abs(d1) ** 2 + 2 * abs((g000 + g001) / 2) ** 2)
+    axes = _SPECTATOR_LAST.get(tuple(sorted(pair)))
+    if axes is None:
+        raise QubitOutOfRange(f"n_pair_sq needs two distinct qubits of 1..3, got {pair}")
+    (d0, d1), g = _three_way_terms(state.tensor().transpose(axes))
+    return float(abs(d0) ** 2 + abs(d1) ** 2 + 2 * abs(g / 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -147,9 +153,6 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
     w_sums = {pair: float(abs(d[0]) + abs(d[1])) for pair, d in pair_dets.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
     pair_sq = {pair: n_pair_sq(state, pair) for pair in pair_dets}
-
-    from .ptrans import negativity  # local import avoids a cycle at module load
-
     n_g = negativity(state, 1)
     return ThreeQubitReport(
         pair_dets=pair_dets,
@@ -168,8 +171,6 @@ def n_global_sq_relation(state: PureState) -> tuple[float, float]:
     """(lhs, rhs) of: squared global negativity of qubit 1 equals
     4*(pair 1,2 invariant) + 4*(pair 1,3 invariant)."""
     _require(state, 3, "n_global_sq_relation")
-    from .ptrans import negativity
-
     lhs = np.float64(negativity(state, 1)) ** 2
     rhs = 4.0 * n_pair_sq(state, (1, 2)) + 4.0 * n_pair_sq(state, (1, 3))
     return float(lhs), float(rhs)

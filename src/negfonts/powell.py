@@ -2,9 +2,9 @@
 
 A step-for-step port of the unbounded path of scipy's
 `minimize(method="Powell")` (scipy 1.17: `bracket`, `Brent.optimize`,
-`_linesearch_powell` and `_minimize_powell`).  With the identity direction
-set, one start makes the same evaluations as scipy and ends at the same point.
-Bounds, callbacks and `maxfev` are not ported.
+`_linesearch_powell` and `_minimize_powell`) at scipy's `xtol=XTOL`, `ftol=FTOL`.
+With the identity direction set, one start makes the same evaluations as scipy
+and ends at the same point.  Bounds, callbacks and `maxfev` are not ported.
 
 Each stage is a generator: it yields the point it needs evaluated and is sent
 back the value there.  `minimize` keeps one Powell generator per start, stacks
@@ -27,6 +27,8 @@ _GOLD = 1.618034            # bracket growth ratio, (1 + sqrt(5)) / 2
 _CG = 0.3819660             # golden-section fraction, (3 - sqrt(5)) / 2
 _MINTOL = 1.0e-11           # absolute part of Brent's tolerance
 _VERYSMALL = 1e-21          # guards the parabolic-extrapolation denominator
+XTOL = 1e-6                 # Brent's relative tolerance is 100 * XTOL
+FTOL = 1e-8                 # relative gain below which a sweep ends the search
 
 
 def _bracket(line, grow_limit: float = 110.0, maxiter: int = 1000):
@@ -159,8 +161,7 @@ def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float):
     return fret, p + xi, xi
 
 
-def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter: int,
-            sweeps: np.ndarray):
+def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray):
     """One Powell search from x0 over the rows of `direc` (updated in place).
 
     Counts its finished sweeps in the one-element array `sweeps`, so that a
@@ -175,12 +176,12 @@ def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter
         delta = 0.0
         for i in range(len(direc)):
             fx2 = fval
-            fval, x, _ = yield from _linesearch(fval, x, direc[i], xtol * 100)
+            fval, x, _ = yield from _linesearch(fval, x, direc[i], XTOL * 100)
             if fx2 - fval > delta:
                 delta = fx2 - fval
                 bigind = i
         sweeps += 1
-        bnd = ftol * (abs(fx) + abs(fval)) + 1e-20
+        bnd = FTOL * (abs(fx) + abs(fval)) + 1e-20
         if 2.0 * (fx - fval) <= bnd or sweeps[0] >= maxiter:
             break
         if math.isnan(fx) and math.isnan(fval):
@@ -196,7 +197,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, xtol: float, ftol: float, maxiter
             temp = fx - fx2
             t -= delta * temp * temp
             if t < 0.0:
-                fval, x, direc1 = yield from _linesearch(fval, x, direc1, xtol * 100)
+                fval, x, direc1 = yield from _linesearch(fval, x, direc1, XTOL * 100)
                 if np.any(direc1):
                     direc[bigind] = direc[-1]
                     direc[-1] = direc1
@@ -211,8 +212,7 @@ class PowellResult(NamedTuple):
     rounds: int             # batched calls of the objective
 
 
-def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int,
-             xtol: float = 1e-4, ftol: float = 1e-4, direc=None,
+def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc=None,
              stop: Callable[[], bool] | None = None) -> PowellResult:
     """Run Powell's method from every row of `x0` in lock-step.
 
@@ -232,8 +232,7 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int,
     n = starts.shape[1]
     direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
     nit = np.zeros(len(starts), dtype=int)
-    runs = [_powell(x, direc.copy(), xtol, ftol, maxiter, nit[i:i + 1])
-            for i, x in enumerate(starts)]
+    runs = [_powell(x, direc.copy(), maxiter, nit[i:i + 1]) for i, x in enumerate(starts)]
     pending = {i: next(run) for i, run in enumerate(runs)}
     ends: list = [None] * len(runs)
     lowest = [(x, math.inf) for x in starts]   # per start: its lowest point so far

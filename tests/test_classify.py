@@ -194,6 +194,28 @@ def test_font_minimize_fixed_points():
     assert sum(count_nonzero_fonts(minimized, 1, k) for k in (2, 3, 4)) == 0
 
 
+def test_font_minimize_scale_free():
+    # the search runs on the state's direction: a power-of-two scale is exact,
+    # so every scaled input normalizes to the same unit vector as the unscaled one
+    for idx, name in enumerate(("GHZ4", "W4", "C1")):
+        base = make_state(4, scramble_special(normalize(catalog_state(name)), (5323, idx)).amps)
+        ref, ref_trace = font_minimize(base, restarts=4, iters=60, seed=1)
+        assert ref.normalized
+        for k in (-900, -100, 100, 900):
+            got, trace = font_minimize(make_state(4, base.amps * 2.0 ** k),
+                                       restarts=4, iters=60, seed=1)
+            assert got.amps.tobytes() == ref.amps.tobytes(), (name, k)
+            assert trace == ref_trace, (name, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for scale in (1e-200, 1e-30, 1e30, 1e200):
+                got, _ = font_minimize(make_state(4, base.amps * scale),
+                                       restarts=4, iters=60, seed=1)
+                if name == "GHZ4":
+                    counts = [count_nonzero_fonts(got, 1, k) for k in (4, 3, 2)]
+                    assert counts == [1, 0, 0], scale
+
+
 def test_font_minimize_recovers_ghz_counts():
     ghz = normalize(catalog_state("GHZ4"))
     hits = 0
@@ -262,14 +284,13 @@ def test_stall_key_is_count_and_penalty_of_scores():
         frames = _rotated_amps(state.amps, thetas)
         for tol in (1e-9, 1e-3, 0.05):
             for has_four_body in (False, True):
-                stall = classify_module._Stall(tol * state.norm ** 2, has_four_body, 1)
+                stall = classify_module._Stall(tol, has_four_body)
                 seen = []
-                values = classify_module._surrogate(state.amps, state.norm, thetas,
-                                                    seen.append)
+                values = classify_module._surrogate(state.amps, thetas, seen.append)
                 np.testing.assert_array_equal(
-                    values, classify_module._surrogate(state.amps, state.norm, thetas))
+                    values, classify_module._surrogate(state.amps, thetas))
                 keys = stall.keys[(seen[0] > stall.threshold) @ stall.weights]
-                scores = classify_module._scores(frames, tol, state.norm, has_four_body)
+                scores = classify_module._scores(frames, tol, has_four_body)
                 np.testing.assert_array_equal(keys, 2 * scores[:, 0] + scores[:, 1])
 
 
@@ -381,13 +402,12 @@ def test_surrogate_and_objective_flat_along_a_angles():
                 thetas[1::3] = 0.0          # a catalog state keeps its sparse frame
             shifted = np.tile(thetas, (4, 1))
             shifted[np.arange(4), 3 * np.arange(4)] += rng.uniform(0, 2 * np.pi, 4)
-            values = classify_module._surrogate(state.amps, state.norm,
-                                                np.vstack([thetas, shifted]))
+            values = classify_module._surrogate(state.amps, np.vstack([thetas, shifted]))
             np.testing.assert_allclose(values[1:], values[0], rtol=0, atol=1e-12)
             for has_four_body in (False, True):
                 scores = classify_module._scores(
                     _rotated_amps(state.amps, np.vstack([thetas, shifted])),
-                    1e-9, state.norm, has_four_body)
+                    1e-9, has_four_body)
                 np.testing.assert_array_equal(scores[1:, [0, 1, 3]],
                                               np.broadcast_to(scores[0, [0, 1, 3]], (4, 3)))
                 np.testing.assert_allclose(scores[1:, 2], scores[0, 2], rtol=0, atol=1e-12)

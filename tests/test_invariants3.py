@@ -19,7 +19,7 @@ from negfonts import (
     three_tangle,
     three_way_invariant,
 )
-from negfonts.errors import WrongArity
+from negfonts.errors import QubitOutOfRange, WrongArity
 
 
 def test_i2_pair():
@@ -81,6 +81,15 @@ def test_pair_sq_printed_form_for_pair_13():
         direct = abs(d0) ** 2 + abs(d1) ** 2 + 2 * abs((g000 - g001) / 2) ** 2
         assert n_pair_sq(s, (1, 3)) == pytest.approx(direct, abs=1e-13)
 
+
+
+def test_pair_sq_takes_pairs_in_either_order_and_rejects_others():
+    s = random_state(3, 813)
+    for pair in ((1, 2), (1, 3), (2, 3)):
+        assert n_pair_sq(s, pair[::-1]) == n_pair_sq(s, pair)
+    for pair in ((1, 4), (2, 2), (0, 1), (1, 2, 3)):
+        with pytest.raises(QubitOutOfRange):
+            n_pair_sq(s, pair)
 
 def test_negativity_relation():
     lhs, rhs = n_global_sq_relation(normalize(catalog_state("GHZ3")))
