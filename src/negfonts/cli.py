@@ -373,14 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants for 2-4 qubit pure states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, tol_help="degree-aware zero tolerance (default 1e-9)"):
         p.add_argument("--in", dest="infile", required=True, help="state file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="degree-aware zero tolerance (default 1e-9)")
+        p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
 
     p_inv = sub.add_parser("invariants", help="invariant report for a state file")
-    add_common(p_inv)
+    add_common(p_inv, "degree-aware zero tolerance of the 3-qubit report; on 2- and "
+                      "4-qubit files it is only recorded in the report's tolerance "
+                      "field (default 1e-9)")
     p_inv.add_argument("--triple", type=int, default=4, choices=(1, 2, 3, 4),
                        help="singled-out qubit for the headline triple")
     p_inv.add_argument("--no-normalize", action="store_true",
@@ -397,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_neg = sub.add_parser("negativity", help="trace-norm negativities per qubit")
-    add_common(p_neg)
+    add_common(p_neg, "only recorded in the report's tolerance field; the negativities "
+                      "do not depend on it (default 1e-9)")
     p_neg.add_argument("--qubit", type=int, default=None)
     p_neg.set_defaults(func=cmd_negativity)
 

@@ -36,7 +36,11 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FontSpec:
-    """One K-way font: transposed qubit, flip set, row pattern, spectators."""
+    """One K-way font: transposed qubit, flip set, row pattern, spectators.
+
+    `font_det` stores the spec's amplitude positions on it as `_positions`,
+    outside the fields, so equality and hashing do not see them.
+    """
 
     p: int
     flip_set: tuple[int, ...]            # sorted, contains p
@@ -115,10 +119,24 @@ def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
 
 
 def font_det(state: PureState, spec: FontSpec) -> complex:
-    """Determinant of the font's 2x2 amplitude block."""
-    i, j, i_flip, j_flip = _font_indices(state.n_qubits, spec)
+    """Determinant of the font's 2x2 amplitude block.
+
+    The spec keeps its qubit count and amplitude positions after its first
+    use, so later calls neither hash it nor look it up.  A spec covers the
+    qubits of exactly one n, so a state of any other size goes back to
+    `_font_indices`, which raises.  The products are taken on Python complex
+    numbers, which round as numpy's complex128 scalars do.
+    """
+    n = state.n_qubits
+    try:
+        spec_n, i, j, i_flip, j_flip = spec._positions
+    except AttributeError:                  # first use of this spec
+        spec_n = None
+    if spec_n != n:
+        i, j, i_flip, j_flip = _font_indices(n, spec)
+        object.__setattr__(spec, "_positions", (n, i, j, i_flip, j_flip))
     a = state.amps
-    return complex(a[i] * a[j] - a[i_flip] * a[j_flip])
+    return a.item(i) * a.item(j) - a.item(i_flip) * a.item(j_flip)
 
 
 @functools.cache

@@ -6,11 +6,12 @@ A step-for-step port of the unbounded path of scipy's
 With the identity direction set, one start makes the same evaluations as scipy
 and ends at the same point.  Bounds, callbacks and `maxfev` are not ported.
 
-Each stage is a generator: it yields the point it needs evaluated and is sent
-back the value there.  `minimize` keeps one Powell generator per start, stacks
-the points they are waiting for, evaluates them in one call of a batched
-objective and sends the values back, so R starts cost one vectorized call per
-step instead of R scalar ones.
+Each stage is a generator: it yields the point it needs evaluated, as a
+triple (p, xi, alpha) for the point p + alpha xi, and is sent back the value
+there.  `minimize` keeps one Powell generator per start, forms the points they
+are waiting for in one array operation, evaluates them in one call of a
+batched objective and sends the values back, so R starts cost one vectorized
+call per step instead of R scalar ones.
 
 References: M. J. D. Powell, Comput. J. 7, 155 (1964); R. P. Brent,
 Algorithms for Minimization without Derivatives (Prentice-Hall, 1973).
@@ -156,7 +157,7 @@ def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float):
     """Minimize along p + alpha xi; returns (f, new point, step taken)."""
     if not np.any(xi):
         return fval, p, xi
-    alpha, fret = yield from _brent(lambda alpha: p + alpha * xi, tol)
+    alpha, fret = yield from _brent(lambda alpha: (p, xi, alpha), tol)
     xi = alpha * xi
     return fret, p + xi, xi
 
@@ -165,10 +166,11 @@ def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray)
     """One Powell search from x0 over the rows of `direc` (updated in place).
 
     Counts its finished sweeps in the one-element array `sweeps`, so that a
-    search stopped from outside still reports them.
+    search stopped from outside still reports them.  Once started, it waits
+    to be sent the objective at x0, which `minimize` evaluates for all starts.
     """
     x = np.array(x0, dtype=float)
-    fval = yield x
+    fval = yield
     x1 = x.copy()
     while True:
         fx = fval
@@ -189,7 +191,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray)
         # extrapolate along the net move of this sweep
         direc1 = x - x1
         x1 = x.copy()
-        fx2 = yield x + direc1
+        fx2 = yield x, direc1, 1.0
         if fx > fx2:
             t = 2.0 * (fx + fx2 - 2.0 * fval)
             temp = fx - fval - delta
@@ -233,18 +235,22 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc
     direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
     nit = np.zeros(len(starts), dtype=int)
     runs = [_powell(x, direc.copy(), maxiter, nit[i:i + 1]) for i, x in enumerate(starts)]
-    pending = {i: next(run) for i, run in enumerate(runs)}
+    for run in runs:
+        next(run)
+    # per start: the (p, xi, alpha) it waits for; the first round is the starts
+    pending = dict.fromkeys(range(len(runs)))
+    points = starts
     ends: list = [None] * len(runs)
     lowest = [(x, math.inf) for x in starts]   # per start: its lowest point so far
     nfev = rounds = 0
     while pending:
         order = list(pending)
-        values = np.asarray(fun(np.array([pending[i] for i in order])), dtype=float)
+        values = np.asarray(fun(points), dtype=float)
         nfev += len(order)
         rounds += 1
-        for i, value in zip(order, values.tolist()):
+        for i, point, value in zip(order, points, values.tolist()):
             if value < lowest[i][1]:
-                lowest[i] = (pending[i], value)
+                lowest[i] = (point, value)
             try:
                 pending[i] = runs[i].send(value)
             except StopIteration as end:
@@ -254,6 +260,9 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc
             for i in pending:
                 ends[i] = lowest[i]
             break
+        if pending:
+            p, xi, alpha = (np.array(column) for column in zip(*pending.values()))
+            points = p + alpha[:, None] * xi
     return PowellResult(x=np.array([e[0] for e in ends]).reshape(len(runs), n),
                         fun=np.array([e[1] for e in ends]), nit=nit, nfev=nfev,
                         rounds=rounds)

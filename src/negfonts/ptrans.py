@@ -104,9 +104,12 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # NaN and inf propagate to the largest modulus, so one pass checks both;
+    # a finite entry whose modulus overflows still takes the full test
+    scale = np.max(np.abs(m))
+    if not np.isfinite(scale) and not np.all(np.isfinite(m)):
         raise NonFiniteResult("matrix has NaN or infinite entries")
-    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * np.max(np.abs(m)):
+    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
     return np.linalg.eigvalsh(m)
 

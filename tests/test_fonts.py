@@ -5,8 +5,11 @@ import pytest
 
 from helpers import haar_u2, scramble_special
 from negfonts import (
+    CATALOG,
     FontSpec,
+    all_font_dets,
     apply_local_unitary,
+    catalog_names,
     catalog_state,
     count_nonzero_fonts,
     d2,
@@ -257,3 +260,71 @@ def test_bad_specs_and_ranges_raise_on_every_call():
             count_nonzero_fonts(s, 0, 2)
         with pytest.raises(QubitOutOfRange):
             count_nonzero_fonts(s, 1, 4)
+
+
+def _parity_states():
+    """Haar states at several scales, sparse states with signed zeros, the catalog."""
+    for n in range(2, 7):
+        unit = random_state(n, (1417, n))
+        for scale in (1.0, 3.7, 1e40, 1e-40):
+            yield make_state(n, unit.amps * scale)
+    rng = np.random.default_rng(1417)
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+    for trial in range(200):
+        n = 2 + trial % 4
+        amps = np.empty(1 << n, complex)
+        amps.real = rng.choice(parts, 1 << n)
+        amps.imag = rng.choice(parts, 1 << n)
+        if not np.any(amps):
+            amps[trial % (1 << n)] = -1.0
+        yield make_state(n, amps)
+    for name in catalog_names():
+        if not CATALOG[name].params:
+            yield catalog_state(name)
+            yield normalize(catalog_state(name))
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_font_det_is_bit_identical_to_the_numpy_scalar_product():
+    # the reference is the numpy complex128 scalar arithmetic of the per-font
+    # definition; hex comparison also tells signed zeros apart
+    checked = 0
+    for state in _parity_states():
+        n, a = state.n_qubits, state.amps
+        for p in range(1, n + 1):
+            for spec in enumerate_fonts(n, p):
+                i, j, i_flip, j_flip = _font_indices(n, spec)
+                want = complex(a[i] * a[j] - a[i_flip] * a[j_flip])
+                got = font_det(state, spec)
+                assert type(got) is complex
+                assert _hex(got) == _hex(want), (spec, state.amps)
+                checked += 1
+    assert checked > 50_000
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_all_font_dets_is_font_det_over_the_enumeration(n):
+    state = random_state(n, (1419, n))
+    for p in range(1, n + 1):
+        listing = all_font_dets(state, p)
+        assert [spec for spec, _ in listing] == list(enumerate_fonts(n, p))
+        assert [_hex(det) for _, det in listing] == [
+            _hex(font_det(state, spec)) for spec in enumerate_fonts(n, p)]
+
+
+def test_spec_of_another_size_raises_on_every_call():
+    # a spec remembers its amplitude positions after first use; that must not
+    # let it read a state whose qubits it does not cover
+    spec = FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0)))
+    three, five = random_state(3, 5), random_state(5, 5)
+    for state in (three, five, random_state(4, 5), three, five, three):
+        if state.n_qubits == 4:
+            font_det(state, spec)
+            continue
+        with pytest.raises(SpecMismatch):
+            font_det(state, spec)
+    assert spec == FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0)))
+    assert hash(spec) == hash(FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0))))

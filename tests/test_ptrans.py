@@ -1,5 +1,7 @@
 """Density matrices, partial transposes, negativity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,26 @@ def test_eigenvalues_simple():
     np.testing.assert_allclose(hermitian_eigenvalues(np.eye(4) / 4), [0.25] * 4)
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(np.inf, np.inf),
+                                 complex(0.0, -np.inf), complex(np.nan, 1.0)))
+@pytest.mark.parametrize("where", ((1, 1), (0, 2)))
+def test_eigenvalues_reject_non_finite_entries_without_warnings(bad, where):
+    m = density_from_pure(random_state(3, 7))
+    m[where] = bad
+    m[where[::-1]] = np.conj(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult):
+            hermitian_eigenvalues(m)
+
+
+def test_eigenvalues_reject_a_finite_non_hermitian_matrix():
+    m = density_from_pure(random_state(3, 7))
+    m[0, 2] += 1e-6
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(m)
 
 
 @pytest.mark.parametrize("scale", (1e4, 1e-4))
