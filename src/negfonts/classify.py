@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
                      UnknownFamily, WrongArity, check_tolerance)
 from .fonts import DEFAULT_TOL, _det_moduli, _det_orders, _qubit_first, font_counts
-from .invariants import (_quartic_invariants, aggregate_invariants, i4, i48,
-                         tau48_from_i48, triple_invariants)
+from .invariants import _quartic_invariants, aggregate_invariants, i4, i48, triple_invariants
 from .powell import minimize
 from .states import PureState, normalize
 
@@ -135,8 +134,7 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
                      "representation is far from canonical")
     sig = ClassSignature(i48_zero, dres_zero, delta_zero, n2, n3, n4,
                          i48_max, dres_max, delta_max)
-    return ClassReport(cls, sig, minimized, tuple(notes), tol,
-                       tau48_from_i48(report.i48))
+    return ClassReport(cls, sig, minimized, tuple(notes), tol, report.tau48)
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, tol_help="degree-aware zero tolerance (default 1e-9)"):
         p.add_argument("--in", dest="infile", required=True, help="state file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+        p.add_argument("--tol", type=float, default=fonts_mod.DEFAULT_TOL, help=tol_help)
 
     p_inv = sub.add_parser("invariants", help="invariant report for a state file")
     add_common(p_inv, "degree-aware zero tolerance of the 3-qubit report; on 2- and "

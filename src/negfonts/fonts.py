@@ -29,7 +29,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import QubitOutOfRange, SpecMismatch, WrongArity, check_tolerance
-from .states import PureState, index_of_bits
+from .states import PureState, _amplitude_scale, index_of_bits
 
 DEFAULT_TOL = 1e-9
 
@@ -215,14 +215,14 @@ def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_T
     """Canonical order-K fonts whose |det| exceeds tol * ||amps||^2.
 
     Unless the state is already normalized, the test runs on the amplitudes
-    divided by their largest modulus, so dets neither overflow nor underflow
-    at any finite scale.
+    divided by `_amplitude_scale`, so dets neither overflow nor underflow at
+    any finite scale.
     """
     check_tolerance(tol)
     n = state.n_qubits
     enumerate_fonts(n, p, k)                # cached; checks p and k
     if not state.normalized:
-        state = PureState(n, state.amps / np.max(np.abs(state.amps)))
+        state = PureState(n, state.amps / _amplitude_scale(state.amps))
     threshold = tol * state.norm ** 2
     moduli = _det_moduli(_qubit_first(state, p))
     return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))

@@ -33,11 +33,6 @@ def _modulus(value) -> float:
         return math.inf
 
 
-def is_negligible(value, degree: int, norm: float, tol: float = DEFAULT_TOL) -> bool:
-    """Degree-aware zero test: |value| <= tol * norm**degree."""
-    return bool(_modulus(value) <= tol * np.float64(norm) ** degree)
-
-
 def _require(state: PureState, n: int, op: str) -> None:
     if state.n_qubits != n:
         raise WrongArity(f"{op} requires n={n}, got n={state.n_qubits}")
@@ -161,7 +156,7 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
         n_global_sq=float(np.float64(n_g) ** 2),
         i3=i3,
         tau3=4.0 * _modulus(i3),
-        i3_is_zero=is_negligible(i3, 4, norm, tol),
+        i3_is_zero=bool(_modulus(i3) <= tol * norm ** 4),     # degree 4
         w_sums=w_sums,
         i2_w=float(3.0 * (w12 * w13 + w12 * w23 + w13 * w23)),
     )

@@ -35,11 +35,8 @@ def _check_qubit(n: int, p: int) -> None:
 
 @functools.cache
 def _swap_index(n: int, p: int) -> np.ndarray:
-    """Flat position each element of the global transpose over qubit p reads.
-
-    Elements whose row and column labels differ in the p-bit read the element
-    with both p-bits flipped; the others read themselves.
-    """
+    """Flat position each element of the global transpose over qubit p reads:
+    the element with both p-bits flipped where they differ, else itself."""
     dim = 1 << n
     pbit = 1 << (n - p)
     rows, cols = np.indices((dim, dim))
@@ -51,10 +48,8 @@ def _swap_index(n: int, p: int) -> np.ndarray:
 
 @functools.cache
 def _kway_mask(n: int, p: int, k: int) -> np.ndarray:
-    """Elements a K-way transpose over qubit p moves: p-bits differ, order K.
-
-    For k == 2 the elements of order 1 and 2 are both selected.
-    """
+    """Elements a K-way transpose over qubit p moves: p-bits differ, order K
+    (orders 1 and 2 together for k == 2)."""
     dim = 1 << n
     popcounts = np.array([bin(x).count("1") for x in range(dim)])
     rows, cols = np.indices((dim, dim))
@@ -79,11 +74,8 @@ def global_pt(rho: np.ndarray, p: int, n: int) -> np.ndarray:
 
 
 def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
-    """Selective transpose over qubit p of elements with coherence order K.
-
-    For k == 2 the elements of order 1 and 2 are both transposed; for k > 2
-    only the elements of order exactly k.  Everything else is copied.
-    """
+    """Selective transpose over qubit p of the elements of coherence order K
+    (orders 1 and 2 for k == 2); everything else is copied."""
     if not 2 <= k <= n:
         raise BadK(f"K must be in 2..{n}, got {k}")
     swapped = _swapped(rho, n, p)           # checks p first
@@ -114,49 +106,53 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def _transposed_spectrum(state: PureState, p: int, kind) -> np.ndarray:
-    """Eigenvalues of the requested transpose of |psi><psi|."""
-    n = state.n_qubits
+def _kway_spectrum(state: PureState, p: int, k) -> np.ndarray:
+    """Eigenvalues of the K-way transpose of |psi><psi|."""
     rho = density_from_pure(state)
-    if kind == GLOBAL:
-        transposed = global_pt(rho, p, n)
-    else:
-        transposed = kway_pt(rho, p, int(kind), n)
-    return hermitian_eigenvalues(transposed)
+    return hermitian_eigenvalues(kway_pt(rho, p, int(k), state.n_qubits))
 
 
-def _global_negativity(state: PureState, p: int) -> float:
-    """||psi||^2 - 1 + 2 sqrt(sum |D|^2) over the canonical fonts D of qubit p.
+def _global_parts(state: PureState, p: int) -> tuple:
+    """(m^2, u, s1 s2 / m^2) for u = psi / m with qubit p first, m = max |psi_i|.
 
-    The transpose of a pure state over p has trace norm (s1 + s2)^2 for the
-    Schmidt coefficients s1, s2 of the cut p | rest, and by Cauchy-Binet
-    (s1 s2)^2 = det rho_p is the sum of |D|^2 over the 2x2 minors, so no
-    eigensolve is needed.  The minors are taken on the amplitudes divided by
-    their largest modulus, so they overflow only where the result does.
+    The global transpose of |psi><psi| over p has the eigenvalues s1^2, s2^2
+    and +-s1 s2 for the Schmidt coefficients s1, s2 of the cut p | rest, and
+    by Cauchy-Binet (s1 s2)^2 = det rho_p is the sum of |D|^2 over the 2x2
+    minors D, the canonical fonts of p.  Taken on u, the minors overflow only
+    where the result does.
     """
     _check_qubit(state.n_qubits, p)
     scale = np.max(np.abs(state.amps))
     unit = _qubit_first(state, p) / scale
-    det_rho = np.sum(np.abs(_minors(unit)) ** 2)
-    return scale ** 2 * (np.vdot(unit, unit).real + 2.0 * np.sqrt(det_rho)) - 1.0
+    return scale ** 2, unit, np.sqrt(np.sum(np.abs(_minors(unit)) ** 2))
 
 
 def negativity(state: PureState, p: int, kind=GLOBAL) -> float:
     """Trace norm of the requested transpose minus one.
 
     `kind` is "global" or an integer coherence order K in 2..n.  The global
-    kind is taken from the font minors, a K-way kind from the spectrum.
+    kind is ||psi||^2 + 2 s1 s2 - 1, a K-way kind comes from the spectrum.
     """
     if kind == GLOBAL:
-        value = _global_negativity(state, p)
+        sq, unit, root = _global_parts(state, p)
+        value = sq * (np.vdot(unit, unit).real + 2.0 * root) - 1.0
     else:
-        value = np.sum(np.abs(_transposed_spectrum(state, p, kind))) - 1.0
+        value = np.sum(np.abs(_kway_spectrum(state, p, kind))) - 1.0
     if not np.isfinite(value):
         raise NonFiniteResult(f"negativity of qubit {p} is not finite")
     return float(value)
 
 
 def negative_eigenvalues(state: PureState, p: int, kind=GLOBAL) -> np.ndarray:
-    """Negative part of the spectrum of the requested transpose."""
-    eig = _transposed_spectrum(state, p, kind)
-    return eig[eig < 0.0]
+    """Negative part of the spectrum of the requested transpose.
+
+    The global kind has the one eigenvalue -s1 s2, or none where s1 s2 = 0.
+    """
+    if kind != GLOBAL:
+        eig = _kway_spectrum(state, p, kind)
+        return eig[eig < 0.0]
+    sq, _, root = _global_parts(state, p)
+    value = -(sq * root)
+    if not np.isfinite(value):
+        raise NonFiniteResult(f"negative eigenvalue of qubit {p} is not finite")
+    return np.array([value] if value else [], dtype=np.float64)

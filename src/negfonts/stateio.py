@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFiniteResult, ParseError, ZeroVector
 from .invariants import tau48_from_i48
-from .states import PureState, bits_of_index, index_of_bits, make_state
+from .states import MAX_QUBITS, MIN_QUBITS, PureState, bits_of_index, index_of_bits, make_state
 
 
 def fmt(x: float) -> str:
@@ -59,8 +59,8 @@ def read_state(stream: IO[str]) -> PureState:
                 n = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad qubit count {parts[1]!r}", lineno) from None
-            if not 2 <= n <= 6:
-                raise ParseError(f"qubit count {n} outside 2..6", lineno)
+            if not MIN_QUBITS <= n <= MAX_QUBITS:
+                raise ParseError(f"qubit count {n} outside {MIN_QUBITS}..{MAX_QUBITS}", lineno)
             amps = np.zeros(1 << n, dtype=np.complex128)
             continue
         if len(parts) not in (2, 3):

@@ -41,6 +41,15 @@ def bits_of_index(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
 
 
+def _amplitude_scale(amps: np.ndarray) -> np.float64:
+    """Largest modulus of the amplitudes, or, where that modulus overflows,
+    their largest real or imaginary part: finite for any finite amplitudes."""
+    scale = np.max(np.abs(amps))
+    if np.isinf(scale):
+        scale = max(np.max(np.abs(amps.real)), np.max(np.abs(amps.imag)))
+    return scale
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Dense complex amplitude vector over the computational basis."""
@@ -58,14 +67,14 @@ class PureState:
         """Euclidean norm, finite whenever it fits in a float.
 
         If the plain sum of squares underflows to 0 or overflows to inf, the
-        norm is taken on the amplitudes divided by their largest modulus.  It is
+        norm is taken on the amplitudes divided by `_amplitude_scale`.  It is
         a numpy float, so a degree-d threshold `tol * norm ** d` saturates to inf
         instead of raising OverflowError.
         """
         with np.errstate(over="ignore", under="ignore"):
             norm = np.linalg.norm(self.amps)
             if norm == 0.0 or np.isinf(norm):
-                scale = np.max(np.abs(self.amps))
+                scale = _amplitude_scale(self.amps)
                 if scale > 0.0:
                     norm = scale * np.linalg.norm(self.amps / scale)
         return np.float64(norm)
@@ -106,10 +115,10 @@ def make_state(n: int, amps: Iterable[complex]) -> PureState:
 def normalize(state: PureState) -> PureState:
     """Rescale to unit Euclidean norm, preserving direction.
 
-    Dividing by the largest modulus first keeps the squared norm clear of
+    Dividing by `_amplitude_scale` first keeps the squared norm clear of
     underflow and overflow at any finite scale.
     """
-    scale = float(np.max(np.abs(state.amps)))
+    scale = float(_amplitude_scale(state.amps))
     if scale < _ZERO_FLOOR:
         raise ZeroVector("cannot normalize a zero vector")
     vec = state.amps / scale

@@ -89,6 +89,23 @@ def test_font_counts_scale_free(name, exponent):
             assert font_counts(scaled, p) == font_counts(normalize(base), p)
 
 
+@pytest.mark.parametrize("name, expected", (("GHZ4", "IV"), ("W4", "VII"), ("C1", "III")))
+def test_classification_where_the_modulus_overflows(name, expected):
+    # the largest parts are +-1.7e308: finite, but their modulus is inf
+    base = catalog_state(name)
+    huge = make_state(4, base.amps / np.max(np.abs(base.amps)) * 1.7e308 * (1 + 1j))
+    assert np.isinf(np.max(np.abs(huge.amps)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = normalize(huge)
+        assert np.isinf(huge.norm)
+        assert classify(huge).major_class == expected
+        for p in (1, 2, 3, 4):
+            assert font_counts(huge, p) == font_counts(normalize(base), p)
+    phase = (1 + 1j) / abs(1 + 1j)
+    np.testing.assert_allclose(unit.amps, normalize(base).amps * phase, rtol=0, atol=1e-15)
+
+
 def test_requires_four_qubits():
     with pytest.raises(WrongArity):
         classify(normalize(catalog_state("GHZ3")))

@@ -317,6 +317,30 @@ def test_negativity_cli(tmp_path, capsys):
     assert json.loads(out)["negativity"]["1"]["global"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_negativity_cli_lists_one_global_eigenvalue_per_qubit(tmp_path, capsys):
+    w4 = tmp_path / "w4.txt"
+    run(capsys, "catalog", "W4", "--out", str(w4))
+    code, out, _ = run(capsys, "negativity", "--in", str(w4))
+    assert code == 0
+    for row in json.loads(out)["negativity"].values():
+        assert row["negative_eigenvalues"] == [pytest.approx(-row["global"] / 2, abs=1e-15)]
+
+
+@pytest.mark.parametrize("name, expected", (("GHZ4", "IV"), ("W4", "VII"), ("C1", "III")))
+def test_states_whose_modulus_overflows_exit_0(tmp_path, capsys, name, expected):
+    base = catalog_state(name)
+    path = tmp_path / "huge.txt"
+    write_state_file(str(path), make_state(
+        4, base.amps / np.max(np.abs(base.amps)) * 1.7e308 * (1 + 1j)))
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["class_report"]["major_class"] == expected
+    code, out, err = run(capsys, "invariants", "--in", str(path))
+    assert (code, err) == (0, "")
+    ref = aggregate_invariants(normalize(base))
+    assert json.loads(out)["four_qubit"]["tau48"] == pytest.approx(ref.tau48, abs=1e-12)
+
+
 def test_fonts_cli(tmp_path, capsys):
     ghz = tmp_path / "ghz.txt"
     run(capsys, "catalog", "GHZ4", "--out", str(ghz))

@@ -1,6 +1,10 @@
 """Four-qubit invariants: conditional three-way, quartic coefficients,
 degree 8/12/24 invariants, aggregate report."""
 
+import math
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -368,3 +372,81 @@ def test_j12_closed_form_matches_lu():
             size = max(abs(c) for c in (tr.i3_0, tr.i3_1, tr.t, tr.p0, tr.p1))
             worst = max(worst, abs(tr.j12 - np.linalg.det(hankel)) / size ** 3)
     assert worst < 1e-13
+
+
+def _exact_dicke42():
+    """Dicke42 times sqrt(6): amplitude 1 on each weight-2 label, as Fractions."""
+    t = np.full((2, 2, 2, 2), Fraction(0), dtype=object)
+    for bits in product((0, 1), repeat=4):
+        if sum(bits) == 2:
+            t[bits] = Fraction(1)
+    return t
+
+
+def _exact_rotation(t, qubit, m):
+    out = np.full((2, 2, 2, 2), Fraction(0), dtype=object)
+    for bits in product((0, 1), repeat=4):
+        for j in (0, 1):
+            src = list(bits)
+            src[qubit - 1] = j
+            out[bits] += m[bits[qubit - 1]][j] * t[tuple(src)]
+    return out
+
+
+def _exact_quartic(t, pair_sign=-1):
+    """(T, i48) of `_quartic_coefficients` in exact arithmetic; `pair_sign` is
+    the sign of its pair-det term, -1 in the invariant."""
+    def canonical(u):
+        return ((u[0, 0, 0] * u[1, 1, 1] - u[1, 0, 0] * u[0, 1, 1])
+                + (u[0, 0, 1] * u[1, 1, 0] - u[1, 0, 1] * u[0, 1, 0]))
+
+    d = [[t[0, 0, i, b] * t[1, 1, i, b] - t[0, 1, i, b] * t[1, 0, i, b] for i in (0, 1)]
+         for b in (0, 1)]
+    e = [canonical(t[..., b]) for b in (0, 1)]
+    i3 = [e[b] ** 2 - 4 * d[b][0] * d[b][1] for b in (0, 1)]
+    f = [canonical(t[:, :, b, :]) for b in (0, 1)]
+    s4 = sum(t[0, 0, i, j] * t[1, 1, 1 - i, 1 - j] - t[1, 0, i, j] * t[0, 1, 1 - i, 1 - j]
+             for i in (0, 1) for j in (0, 1))
+    t_val = (s4 ** 2 / 6 - Fraction(2, 3) * f[0] * f[1] + Fraction(1, 3) * e[0] * e[1]
+             + pair_sign * Fraction(2, 3) * (d[0][0] * d[1][1] + d[1][0] * d[0][1]))
+    p0, p1 = (e[b] * s4 / 2 - (d[b][1] * f[0] + d[b][0] * f[1]) for b in (0, 1))
+    return t_val, 3 * t_val ** 2 - 4 * p0 * p1 + i3[0] * i3[1]
+
+
+def _exact_tau48(value):
+    """4 sqrt(12 |i48|) for a rational i48 whose square root is rational."""
+    x = 12 * abs(value)
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    assert Fraction(num, den) ** 2 == x
+    return 4 * Fraction(num, den)
+
+
+def test_dicke42_tau48_exact_certificate():
+    """The published tau48 = 5/9 on Dicke42 matches a sign slip, not an invariant.
+
+    In exact arithmetic on Dicke42 x sqrt(6) (norm^2 = 6, so T scales by 1/36
+    and i48 by 1/6^4), the quartic gives T = -1/72, i48 = 1/1728, tau48 = 1/3.
+    Flipping the sign of the pair-det term in T gives the published 5/9, but
+    that "i48" changes under a rational SO(2) rotation of qubit 3, so it is
+    not a local-unitary invariant.
+    """
+    t = _exact_dicke42()
+    t_val, val48 = _exact_quartic(t)
+    assert (t_val / 36, val48 / 6 ** 4) == (Fraction(-1, 72), Fraction(1, 1728))
+    assert _exact_tau48(val48 / 6 ** 4) == Fraction(1, 3)
+    # the float pipeline agrees with the certificate
+    report = aggregate_invariants(normalize(catalog_state("Dicke42")))
+    assert report.i48 == pytest.approx(1 / 1728, abs=1e-15)
+    assert t_p_invariants(normalize(catalog_state("Dicke42")))[0] == pytest.approx(
+        -1 / 72, abs=1e-15)
+
+    flip_t, flip48 = _exact_quartic(t, pair_sign=1)
+    assert (flip_t / 36, flip48 / 6 ** 4) == (Fraction(5, 216), Fraction(25, 15552))
+    assert _exact_tau48(flip48 / 6 ** 4) == Fraction(5, 9)
+
+    rotation = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    turned = {q: _exact_rotation(t, q, rotation) for q in (1, 2, 3, 4)}
+    assert all(_exact_quartic(u)[1] / 6 ** 4 == Fraction(1, 1728) for u in turned.values())
+    flipped = {q: _exact_quartic(turned[q], pair_sign=1)[1] / 6 ** 4 for q in (1, 2, 3)}
+    assert flipped == {1: Fraction(25, 15552), 2: Fraction(25, 15552),
+                       3: Fraction(674041, 6075000000)}

@@ -1,5 +1,6 @@
 """Density matrices, partial transposes, negativity."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from negfonts import (
     random_state,
 )
 from negfonts.errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
+
+ptrans_module = importlib.import_module("negfonts.ptrans")
 
 
 def test_density_product_state():
@@ -223,3 +226,51 @@ def test_negativity_non_finite_raises():
             for k in range(2, 5):
                 with pytest.raises(NonFiniteResult):
                     negativity(s, p, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_global_negative_eigenvalue_matches_eigensolve(n):
+    # the global transpose of a pure state has exactly one negative eigenvalue
+    for trial in range(4):
+        unit = random_state(n, (1429, n, trial))
+        for scale in (1.0, 3.7, 1e-3):
+            s = make_state(n, unit.amps * scale) if scale != 1.0 else unit
+            for p in range(1, n + 1):
+                eig = hermitian_eigenvalues(global_pt(density_from_pure(s), p, n))
+                got = negative_eigenvalues(s, p)
+                assert got.shape == (1,)
+                assert abs(got[0] - eig[0]) <= 1e-12
+                assert np.all(eig[1:] >= -1e-12)
+
+
+def test_global_negative_eigenvalue_of_product_cuts():
+    # the largest modulus is 4, so the scaled amplitudes and their minors are
+    # exact and s1 s2 is exactly 0; a product of general floats keeps a
+    # round-off s1 s2 and reports it as its one eigenvalue
+    kets = ([1, 2], [1, -1], [2j, 1], [1, 1j])
+    product = np.kron(np.kron(kets[0], kets[1]), np.kron(kets[2], kets[3]))
+    for state in (make_state(4, np.eye(16)[0]), make_state(4, product)):
+        for p in range(1, 5):
+            got = negative_eigenvalues(state, p)
+            assert got.shape == (0,) and got.dtype == np.float64
+
+
+def test_global_negative_eigenvalue_non_finite_raises():
+    s = make_state(4, normalize(catalog_state("GHZ4")).amps * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, 5):
+            with pytest.raises(NonFiniteResult):
+                negative_eigenvalues(s, p)
+
+
+def test_global_kind_runs_no_eigensolve(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("eigensolve on the global path")
+
+    monkeypatch.setattr(ptrans_module, "hermitian_eigenvalues", refuse)
+    s = random_state(5, 1433)
+    for p in range(1, 6):
+        assert negative_eigenvalues(s, p)[0] == pytest.approx(-negativity(s, p) / 2,
+                                                              abs=1e-15)
+    with pytest.raises(AssertionError):
+        negative_eigenvalues(s, 1, 2)
