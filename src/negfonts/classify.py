@@ -170,6 +170,11 @@ def _ry_kron_index(qa: int, qb: int) -> np.ndarray:
 
 # L = Ry1 x Ry2 and R^T = (Ry3 x Ry4)^T, as pairs of factor indices
 _KRON = np.stack([_ry_kron_index(0, 1), _ry_kron_index(2, 3).swapaxes(-1, -2)])
+# the same factors read from the exponentials seen as floats, where the cosine
+# and sine of qubit q's half angle are floats 64 + 2q and 65 + 2q, and the
+# sign of each entry of L and R^T, which is where the -sin factors went
+_KRON_FLOATS = 64 + 2 * (_KRON % 4) + (_KRON >= 4)
+_KRON_SIGNS = np.where(_KRON >= 8, -1.0, 1.0).prod(1)
 
 # Rz(a) is the outermost factor of each qubit's rotation and only puts phases
 # on the amplitudes, which changes no |minor| and no |amplitude|: the
@@ -192,12 +197,12 @@ def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """
     thetas = np.asarray(thetas, dtype=float)
     lead = thetas.shape[:-1]
-    # an elementwise product and sum, not BLAS: each row's exponents then do
-    # not depend on how many rows share the call
-    z = np.exp(1j * (thetas[..., None] * _EXPONENTS).sum(-2))
-    half = z[..., 32:]
-    factors = np.concatenate([half.real, half.imag, -half.imag], -1)[..., _KRON]
-    kron = factors[..., 0, :, :] * factors[..., 1, :, :]
+    # einsum without `optimize` calls no BLAS and adds the 12 terms in order:
+    # each row's exponents then do not depend on how many rows share the call
+    z = np.exp(1j * np.einsum("...i,ij->...j", thetas, _EXPONENTS))
+    factors = z.view(float)[..., _KRON_FLOATS]
+    # the matmuls would cast the real factors to complex, each on its own
+    kron = (factors[..., 0, :, :] * factors[..., 1, :, :] * _KRON_SIGNS).astype(complex)
     x = (z[..., :16] * amps).reshape(lead + (4, 4))
     rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
     return z[..., 16:32] * rotated.reshape(lead + (16,))

@@ -6,12 +6,14 @@ A step-for-step port of the unbounded path of scipy's
 With the identity direction set, one start makes the same evaluations as scipy
 and ends at the same point.  Bounds, callbacks and `maxfev` are not ported.
 
-Each stage is a generator: it yields the point it needs evaluated, as a
-triple (p, xi, alpha) for the point p + alpha xi, and is sent back the value
-there.  `minimize` keeps one Powell generator per start, forms the points they
-are waiting for in one array operation, evaluates them in one call of a
-batched objective and sends the values back, so R starts cost one vectorized
-call per step instead of R scalar ones.
+Each stage is a generator: it yields the step alpha it needs evaluated along
+its start's current line p + alpha xi, and is sent back the value there.
+`minimize` holds the lines (p, xi) of all R starts as rows of two preallocated
+(R, n) arrays, and a start writes its rows only when it begins a new line.  A
+round forms the points the starts are waiting for as p + alpha[:, None] * xi
+from the list alpha of their steps, evaluates them in one call of a batched
+objective and sends the values back, so R starts cost one vectorized call per
+step instead of R scalar ones.
 
 References: M. J. D. Powell, Comput. J. 7, 155 (1964); R. P. Brent,
 Algorithms for Minimization without Derivatives (Prentice-Hall, 1973).
@@ -32,20 +34,20 @@ XTOL = 1e-6                 # Brent's relative tolerance is 100 * XTOL
 FTOL = 1e-8                 # relative gain below which a sweep ends the search
 
 
-def _bracket(line, grow_limit: float = 110.0, maxiter: int = 1000):
+def _bracket(grow_limit: float = 110.0, maxiter: int = 1000):
     """Walk downhill from alpha = 0, 1 until a minimum is bracketed.
 
     Returns (xa, xb, xc, fa, fb, fc, valid); `valid` is False when the walk
     stopped without a proper bracket.
     """
     xa, xb = 0.0, 1.0
-    fa = yield line(xa)
-    fb = yield line(xb)
+    fa = yield xa
+    fb = yield xb
     if fa < fb:
         xa, xb = xb, xa
         fa, fb = fb, fa
     xc = xb + _GOLD * (xb - xa)
-    fc = yield line(xc)
+    fc = yield xc
     iterations = 0
     while fc < fb:
         tmp1 = (xb - xa) * (fb - fc)
@@ -58,7 +60,7 @@ def _bracket(line, grow_limit: float = 110.0, maxiter: int = 1000):
             raise RuntimeError("no valid bracket was found before the iteration limit")
         iterations += 1
         if (w - xc) * (xb - w) > 0.0:
-            fw = yield line(w)
+            fw = yield w
             if fw < fc:
                 xa, xb = xb, w
                 fa, fb = fb, fw
@@ -67,20 +69,20 @@ def _bracket(line, grow_limit: float = 110.0, maxiter: int = 1000):
                 xc, fc = w, fw
                 break
             w = xc + _GOLD * (xc - xb)
-            fw = yield line(w)
+            fw = yield w
         elif (w - wlim) * (wlim - xc) >= 0.0:
             w = wlim
-            fw = yield line(w)
+            fw = yield w
         elif (w - wlim) * (xc - w) > 0.0:
-            fw = yield line(w)
+            fw = yield w
             if fw < fc:
                 xb, xc = xc, w
                 w = xc + _GOLD * (xc - xb)
                 fb, fc = fc, fw
-                fw = yield line(w)
+                fw = yield w
         else:
             w = xc + _GOLD * (xc - xb)
-            fw = yield line(w)
+            fw = yield w
         xa, xb, xc = xb, xc, w
         fa, fb, fc = fb, fc, fw
     valid = (((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
@@ -89,9 +91,9 @@ def _bracket(line, grow_limit: float = 110.0, maxiter: int = 1000):
     return xa, xb, xc, fa, fb, fc, valid
 
 
-def _brent(line, tol: float, maxiter: int = 500):
-    """Brent's minimization along `line`; returns (alpha, f at alpha)."""
-    xa, xb, xc, fa, fb, fc, valid = yield from _bracket(line)
+def _brent(tol: float, maxiter: int = 500):
+    """Brent's minimization along the current line; returns (alpha, f at alpha)."""
+    xa, xb, xc, fa, fb, fc, valid = yield from _bracket()
     if not valid:
         # as scipy recovers from a failed bracket: the best point seen
         if any(math.isnan(v) for v in (xa, xb, xc, fa, fb, fc)):
@@ -132,7 +134,7 @@ def _brent(line, tol: float, maxiter: int = 500):
             u = x + tol1 if rat >= 0 else x - tol1
         else:
             u = x + rat
-        fu = yield line(u)
+        fu = yield u
         if fu > fx:
             if u < x:
                 a = u
@@ -153,21 +155,27 @@ def _brent(line, tol: float, maxiter: int = 500):
     return x, fx
 
 
-def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float):
-    """Minimize along p + alpha xi; returns (f, new point, step taken)."""
+def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float, line: np.ndarray):
+    """Minimize along p + alpha xi; returns (f, new point, step taken).
+
+    `line` is the start's (p, xi) row pair of the driver's line arrays.
+    """
     if not np.any(xi):
         return fval, p, xi
-    alpha, fret = yield from _brent(lambda alpha: (p, xi, alpha), tol)
+    line[0], line[1] = p, xi
+    alpha, fret = yield from _brent(tol)
     xi = alpha * xi
     return fret, p + xi, xi
 
 
-def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray):
+def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray,
+            line: np.ndarray):
     """One Powell search from x0 over the rows of `direc` (updated in place).
 
     Counts its finished sweeps in the one-element array `sweeps`, so that a
-    search stopped from outside still reports them.  Once started, it waits
-    to be sent the objective at x0, which `minimize` evaluates for all starts.
+    search stopped from outside still reports them, and writes each line it
+    searches into the (2, n) view `line`.  Once started, it waits to be sent
+    the objective at x0, which `minimize` evaluates for all starts.
     """
     x = np.array(x0, dtype=float)
     fval = yield
@@ -178,7 +186,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray)
         delta = 0.0
         for i in range(len(direc)):
             fx2 = fval
-            fval, x, _ = yield from _linesearch(fval, x, direc[i], XTOL * 100)
+            fval, x, _ = yield from _linesearch(fval, x, direc[i], XTOL * 100, line)
             if fx2 - fval > delta:
                 delta = fx2 - fval
                 bigind = i
@@ -191,7 +199,8 @@ def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray)
         # extrapolate along the net move of this sweep
         direc1 = x - x1
         x1 = x.copy()
-        fx2 = yield x, direc1, 1.0
+        line[0], line[1] = x, direc1
+        fx2 = yield 1.0
         if fx > fx2:
             t = 2.0 * (fx + fx2 - 2.0 * fval)
             temp = fx - fval - delta
@@ -199,7 +208,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray)
             temp = fx - fx2
             t -= delta * temp * temp
             if t < 0.0:
-                fval, x, direc1 = yield from _linesearch(fval, x, direc1, XTOL * 100)
+                fval, x, direc1 = yield from _linesearch(fval, x, direc1, XTOL * 100, line)
                 if np.any(direc1):
                     direc[bigind] = direc[-1]
                     direc[-1] = direc1
@@ -234,23 +243,27 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc
     n = starts.shape[1]
     direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
     nit = np.zeros(len(starts), dtype=int)
-    runs = [_powell(x, direc.copy(), maxiter, nit[i:i + 1]) for i, x in enumerate(starts)]
+    # per start: the line (p, xi) its pending point lies on, a row of line_p and line_xi
+    lines = np.zeros((2,) + starts.shape)
+    line_p, line_xi = lines
+    runs = [_powell(x, direc.copy(), maxiter, nit[i:i + 1], lines[:, i])
+            for i, x in enumerate(starts)]
     for run in runs:
         next(run)
-    # per start: the (p, xi, alpha) it waits for; the first round is the starts
+    # per start: the step along its line it waits for; the first round is the starts
     pending = dict.fromkeys(range(len(runs)))
+    order = list(pending)
     points = starts
     ends: list = [None] * len(runs)
     lowest = [(x, math.inf) for x in starts]   # per start: its lowest point so far
     nfev = rounds = 0
-    while pending:
-        order = list(pending)
+    while order:
         values = np.asarray(fun(points), dtype=float)
         nfev += len(order)
         rounds += 1
-        for i, point, value in zip(order, points, values.tolist()):
+        for j, (i, value) in enumerate(zip(order, values.tolist())):
             if value < lowest[i][1]:
-                lowest[i] = (point, value)
+                lowest[i] = (points[j], value)
             try:
                 pending[i] = runs[i].send(value)
             except StopIteration as end:
@@ -260,9 +273,12 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc
             for i in pending:
                 ends[i] = lowest[i]
             break
-        if pending:
-            p, xi, alpha = (np.array(column) for column in zip(*pending.values()))
-            points = p + alpha[:, None] * xi
+        order = list(pending)
+        alpha = np.array(list(pending.values()))[:, None]
+        if len(order) == len(runs):     # a gather would cost more than the points
+            points = line_p + alpha * line_xi
+        else:
+            points = line_p[order] + alpha * line_xi[order]
     return PowellResult(x=np.array([e[0] for e in ends]).reshape(len(runs), n),
                         fun=np.array([e[1] for e in ends]), nit=nit, nfev=nfev,
                         rounds=rounds)

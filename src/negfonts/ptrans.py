@@ -107,7 +107,9 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def _kway_spectrum(state: PureState, p: int, k) -> np.ndarray:
-    """Eigenvalues of the K-way transpose of |psi><psi|."""
+    """Eigenvalues of the K-way transpose of |psi><psi|; K must be integral."""
+    if not isinstance(k, (int, np.integer)):
+        raise BadK(f"kind must be {GLOBAL!r} or an integer K, got {k!r}")
     rho = density_from_pure(state)
     return hermitian_eigenvalues(kway_pt(rho, p, int(k), state.n_qubits))
 

@@ -564,3 +564,53 @@ def test_accept_improvements_matches_a_move_loop(block):
         assert improved == (accepted > 0)
         assert got_best == best
         np.testing.assert_array_equal(got_vec, vec)
+
+
+def _reference_rotated_amps(amps, thetas):
+    """`_rotated_amps` as first written: the exponents as an elementwise
+    product and sum, the Kronecker factors gathered from a concatenated
+    (cos, sin, -sin) table of half angles, real factors in the matmuls."""
+    thetas = np.asarray(thetas, dtype=float)
+    lead = thetas.shape[:-1]
+    z = np.exp(1j * (thetas[..., None] * classify_module._EXPONENTS).sum(-2))
+    half = z[..., 32:]
+    factors = np.concatenate([half.real, half.imag, -half.imag], -1)[..., classify_module._KRON]
+    kron = factors[..., 0, :, :] * factors[..., 1, :, :]
+    x = (z[..., :16] * amps).reshape(lead + (4, 4))
+    rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
+    return z[..., 16:32] * rotated.reshape(lead + (16,))
+
+
+def _reference_surrogate(amps, thetas):
+    out = _reference_rotated_amps(amps, thetas)
+    return (np.cumsum(np.sqrt(_det_moduli(out)), -1)[..., -1]
+            + 0.5 * np.cumsum(np.sqrt(np.abs(out)), -1)[..., -1])
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+def test_surrogate_rows_do_not_depend_on_the_batch_bit_for_bit():
+    rng = np.random.default_rng(4219)
+    thetas = rng.uniform(0, 2 * np.pi, (33, 12))
+    thetas[3] = 0.0
+    thetas[4] = -0.0
+    zeros = rng.random((33, 12)) < 0.3
+    thetas[20:][zeros[20:]] = rng.choice([0.0, -0.0], zeros[20:].sum())
+    thetas[30] = rng.choice([0.0, -0.0, -1.5], 12)
+    states = [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1", "Dicke42")]
+    states += [random_state(4, 4219 + k) for k in range(3)]
+    for state in states:
+        amps = state.amps
+        kernels = ((_rotated_amps, _reference_rotated_amps),
+                   (classify_module._surrogate, _reference_surrogate))
+        for kernel, reference in kernels:
+            alone = [kernel(amps, row) for row in thetas]
+            assert _bits(kernel(amps, thetas)) == _bits(alone)
+            assert _bits(reference(amps, thetas)) == _bits(alone)
+            assert _bits([reference(amps, row) for row in thetas]) == _bits(alone)
+            for size in range(1, 34):
+                for start in range(0, 33, size):
+                    batch = kernel(amps, thetas[start:start + size])
+                    assert _bits(batch) == _bits(alone[start:start + size])

@@ -1,15 +1,17 @@
 """The numpy Powell port: scipy parity, and lock-step runs equal to single runs."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
 
 from helpers import scramble_special
 from negfonts import catalog_state, normalize
-from negfonts.powell import FTOL, XTOL, minimize
+from negfonts.powell import FTOL, XTOL, PowellResult, minimize
 
 classify_module = importlib.import_module("negfonts.classify")
+powell_module = importlib.import_module("negfonts.powell")
 
 OPTIONS = {"maxiter": 60}
 
@@ -119,3 +121,90 @@ def test_a_stop_hook_ends_every_start_at_its_lowest_point(after):
     # every start began from its own row, and its end is no worse than that
     assert np.all(result.fun <= [f(x) for x in starts])
     assert np.all(result.nit <= OPTIONS["maxiter"])
+
+
+def reference_minimize(fun, x0, *, maxiter, direc=None, stop=None):
+    """The lock-step driver as first written: each start's pending point is a
+    triple (p, xi, alpha), and a round stacks the triples column by column.
+
+    It runs the same `_powell` generators; the triple of a start is its step
+    and the line it wrote when it began that line.
+    """
+    starts = np.asarray(x0, dtype=float)
+    if starts.ndim == 1:
+        starts = starts[None]
+    n = starts.shape[1]
+    direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
+    nit = np.zeros(len(starts), dtype=int)
+    lines = [np.zeros((2, n)) for _ in starts]
+    runs = [powell_module._powell(x, direc.copy(), maxiter, nit[i:i + 1], lines[i])
+            for i, x in enumerate(starts)]
+    for run in runs:
+        next(run)
+    pending = dict.fromkeys(range(len(runs)))
+    points = starts
+    ends = [None] * len(runs)
+    lowest = [(x, math.inf) for x in starts]
+    nfev = rounds = 0
+    partial = False
+    while pending:
+        order = list(pending)
+        partial |= len(order) < len(runs)
+        values = np.asarray(fun(points), dtype=float)
+        nfev += len(order)
+        rounds += 1
+        for i, point, value in zip(order, points, values.tolist()):
+            if value < lowest[i][1]:
+                lowest[i] = (point, value)
+            try:
+                alpha = runs[i].send(value)
+                pending[i] = (lines[i][0].copy(), lines[i][1].copy(), alpha)
+            except StopIteration as end:
+                del pending[i]
+                ends[i] = end.value
+        if stop is not None and pending and stop():
+            for i in pending:
+                ends[i] = lowest[i]
+            break
+        if pending:
+            p, xi, alpha = (np.array(column) for column in zip(*pending.values()))
+            points = p + alpha[:, None] * xi
+    result = PowellResult(x=np.array([e[0] for e in ends]).reshape(len(runs), n),
+                          fun=np.array([e[1] for e in ends]), nit=nit, nfev=nfev,
+                          rounds=rounds)
+    return result, partial
+
+
+@pytest.mark.parametrize("count", (1, 4, 16, 32))
+def test_the_driver_matches_the_triple_stacking_driver_bit_for_bit(count):
+    ghz = normalize(catalog_state("GHZ4"))
+    state = scramble_special(ghz, (4127, 96, count))
+
+    def surrogate(thetas):
+        return classify_module._surrogate(state.amps, thetas)
+
+    def after(rounds):
+        if rounds is None:
+            return None
+        calls = []
+        return lambda: calls.append(1) or len(calls) == rounds
+
+    starts = np.random.default_rng((4133, count)).uniform(0, 2 * np.pi, (count, 12))
+    starts[0] = 0.0
+    partial_seen = False
+    for maxiter, rounds in [(60, None), (60, 1), (60, 2), (60, 37), (60, 400),
+                            (1, None), (2, None), (2, 37)]:
+        got = minimize(surrogate, starts, maxiter=maxiter, direc=classify_module._SEARCHED,
+                       stop=after(rounds))
+        ref, partial = reference_minimize(surrogate, starts, maxiter=maxiter,
+                                          direc=classify_module._SEARCHED,
+                                          stop=after(rounds))
+        partial_seen |= partial
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.fun.tobytes() == ref.fun.tobytes()
+        np.testing.assert_array_equal(got.nit, ref.nit)
+        assert (got.nfev, got.rounds) == (ref.nfev, ref.rounds)
+        if rounds is not None:
+            assert got.rounds == rounds
+    # with more than one start, some rounds ran after other starts had ended
+    assert partial_seen == (count > 1)

@@ -274,3 +274,21 @@ def test_global_kind_runs_no_eigensolve(monkeypatch):
                                                               abs=1e-15)
     with pytest.raises(AssertionError):
         negative_eigenvalues(s, 1, 2)
+
+
+@pytest.mark.parametrize("kind", (2.5, 2.0, "Global", "2", None, np.float64(3.0)))
+def test_a_kind_that_is_neither_global_nor_an_integer_is_bad_k(kind):
+    s = random_state(4, 1439)
+    with pytest.raises(BadK):
+        negativity(s, 1, kind)
+    with pytest.raises(BadK):
+        negative_eigenvalues(s, 1, kind)
+
+
+def test_numpy_integer_kinds_equal_python_ints():
+    s = random_state(4, 1447)
+    for k in (2, 3, 4):
+        for kind in (np.int64(k), np.int32(k), np.uint8(k)):
+            assert negativity(s, 2, kind) == negativity(s, 2, k)
+            np.testing.assert_array_equal(negative_eigenvalues(s, 2, kind),
+                                          negative_eigenvalues(s, 2, k))
