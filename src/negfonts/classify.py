@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
                      UnknownFamily, WrongArity, check_tolerance)
 from .fonts import DEFAULT_TOL, _det_moduli, _det_orders, _qubit_first, font_counts
-from .invariants import _quartic_invariants, aggregate_invariants, i4, i48, triple_invariants
+from .invariants import (_quartic_coefficients, _quartic_invariants, aggregate_invariants, i4,
+                         i48, triple_invariants)
 from .powell import minimize
 from .states import PureState, normalize
 
@@ -102,6 +103,7 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
     if state.n_qubits != 4:
         raise WrongArity(f"classify requires n=4, got n={state.n_qubits}")
     check_tolerance(tol)
+    _check_budget(seed, restarts, iters)
     notes: list[str] = []
     work = normalize(state)
 
@@ -425,12 +427,72 @@ def _phase_gauge(vec: np.ndarray, amp_floor: float) -> np.ndarray:
     return vec
 
 
+def _check_budget(seed, restarts, iters) -> None:
+    """Raise BadBudget unless seed >= 0, restarts >= 0 and iters >= 1 are ints."""
+    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 0), ("iters", iters, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise BadBudget(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _invariant_fingerprint(state: PureState) -> np.ndarray:
     rep = [abs(i4(state))]
     for singled in (1, 2, 3, 4):
         tr = triple_invariants(state, singled)
         rep.extend([abs(tr.i48), tr.n_sq])
     return np.array(rep)
+
+
+# the start frame ranks frames at this floor: its quartic roots are not polished
+_START_FLOOR = 1e-7
+# the amplitude positions that move qubit q (0-based) last, the others in order
+_MOVE_LAST = np.stack([np.moveaxis(np.arange(16).reshape(2, 2, 2, 2), q, 3).ravel()
+                       for q in range(4)])
+
+
+def _eigenframe(amps: np.ndarray) -> np.ndarray:
+    """Each qubit rotated into the eigenbasis of its one-qubit reduced state,
+    the larger eigenvalue on |0>: the normal form of Kraus, PRL 104, 020504."""
+    rows = amps[_MOVE_LAST].reshape(4, 8, 2).swapaxes(-1, -2)
+    _, vecs = np.linalg.eigh(rows @ rows.conj().swapaxes(-1, -2))
+    for q, gate in enumerate(vecs[..., ::-1].conj().swapaxes(-1, -2)):
+        amps = _apply_gates(amps, q, gate[None])[0]
+    return amps
+
+
+def _root_gates(vec: np.ndarray, q: int) -> np.ndarray:
+    """(m, 2, 2) SU(2) gates [[1, x], [-x*, 1]] / sqrt(1 + |x|^2) on qubit q
+    (0-based), one per root x of the transposition quartic I3(t0 + x t1) with
+    qubit q last.  Each maps slice 0 to a multiple of t0 + x t1, so it zeroes
+    the three-way invariant of that slice."""
+    i3_0, i3_1, t, p0, p1 = _quartic_coefficients(PureState(4, vec[_MOVE_LAST[q]]))
+    # np.roots drops zero leading coefficients; below 1e-300 one would overflow it
+    x = np.roots([a if abs(a) > 1e-300 else 0 for a in (i3_1, 4 * p1, 6 * t, 4 * p0, i3_0)])
+    c = 1 / np.hypot(1.0, np.abs(x))
+    return np.stack([c, x * c, -(x * c).conj(), c], -1).reshape(-1, 2, 2)
+
+
+def _start_frame(amps: np.ndarray, has_four_body: bool) -> np.ndarray:
+    """The frame the font search starts from, a local-unitary image of `amps`.
+
+    The input and its `_eigenframe` each get two greedy sweeps over qubits
+    4, 3, 2, 1; a step keeps the frame or one of its `_root_gates` frames,
+    whichever `_scores` ranks best at `_START_FLOOR`.  The better swept frame
+    is the start if it has fewer fonts or a lower penalty than the input: on
+    Haar states a start that only lowered the modulus sum cost ~12% more rounds.
+    """
+    frames = [amps, _eigenframe(amps)]
+    before = _scores(amps, _START_FLOOR, has_four_body)[:2].tolist()
+    for q in (3, 2, 1, 0) * 2:
+        stacks = [np.concatenate([vec[None], _apply_gates(vec, q, _root_gates(vec, q))])
+                  for vec in frames]
+        rows = _scores(np.concatenate(stacks), _START_FLOOR, has_four_body).tolist()
+        best = []
+        for c, stack in enumerate(stacks):
+            options, rows = rows[:len(stack)], rows[len(stack):]
+            best.append(min(options))   # `index` finds the first equal row: ties keep the frame
+            frames[c] = stack[options.index(best[-1])]
+    pick = min(best)
+    return frames[best.index(pick)] if pick[:2] < before else amps
 
 
 def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
@@ -453,32 +515,27 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
 
     The search runs on the state's direction: the input is normalized once,
     tolerances are absolute on that unit vector, and the frame is returned
-    normalized.
+    normalized.  Restart 0 starts at `_start_frame` of that vector, and the
+    random restarts are Euler angles applied to that frame.
 
     The search is anytime: all restarts end together once the best
-    (count, penalty) over every frame evaluated so far, read from the minors
-    the surrogate already forms, has not fallen for `_STALL_ROUNDS` (450)
-    lock-step rounds; only a lower count, or a lower penalty at the same
-    count, counts as an improvement.  The font count a search ends at usually
-    appears well before Powell converges, and later rounds only polish the
-    surrogate.  Each restart's candidate is still its own Powell point (the
+    (count, penalty) over every frame evaluated so far, read from the
+    surrogate's minors, has not fallen for `_STALL_ROUNDS` (450) lock-step
+    rounds.  Each restart's candidate is its own Powell point (the
     lowest-surrogate point it evaluated, if it was stopped), never the frame
-    that scored best, and the Clifford moves refine the best candidate as
-    before.
+    that scored best; the Clifford moves refine the best candidate.
 
     Returns (state, trace); trace rows are (step, *objective) for the
-    accepted best and never increase: row 0 is the normalized input, then one
+    accepted best and never increase: row 0 is the start frame, then one
     row per restart and one per Clifford round.
     """
     if state.n_qubits != 4:
         raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
-    if restarts < 0 or iters < 1:
-        raise BadBudget(f"font_minimize needs restarts >= 0 and iters >= 1, "
-                        f"got restarts={restarts}, iters={iters}")
+    _check_budget(seed, restarts, iters)
     check_tolerance(tol)
     unit = state if state.normalized else normalize(state)
-    amps = unit.amps
     has_four_body = bool(abs(i48(unit)) > tol)
+    amps = _start_frame(unit.amps, has_four_body)
 
     def scores(vecs: np.ndarray) -> np.ndarray:
         return _scores(vecs, tol, has_four_body)

@@ -358,6 +358,8 @@ def cmd_check(args) -> int:
     trials = args.trials if args.trials is not None else default_trials
     if trials < 1:
         raise BadBudget(f"--trials must be at least 1, got {trials}")
+    if args.seed < 0:
+        raise BadBudget(f"--seed must be at least 0, got {args.seed}")
     tol = args.tol if args.tol is not None else default_tol
     worst, label = runner(trials, args.seed, tol)
     status = "ok" if worst <= tol else "VIOLATION"

@@ -1,0 +1,70 @@
+"""Print how often the font search recovers each target's class, and where it ends.
+
+For every target of `search_digest.py` (GHZ4 and W4 at 4 restarts, C1 at 16)
+and every stream, `--trials` scrambles `scramble_special(state, (stream,
+target, trial))` are classified with `classify(..., use_font_min=True,
+iters=60, seed=trial)`.  Each row gives how many came out in the class of the
+catalog frame, a histogram of the searched frame's (n2, n3, n4) with the
+number of frames whose 4-way fonts disagree with i48 (penalty 1), and the
+median milliseconds per `classify` call.
+
+    PYTHONPATH=src python3 tests/recovery_table.py --trials 40 --streams 9811 9823
+
+A change to the font search that is not bit for bit (`search_digest.py`
+prints a new digest) is judged on this table, run on its parent and on it,
+on streams not used while writing the change.
+
+The file is not named test_*.py, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+from collections import Counter
+
+from helpers import scramble_special
+from negfonts import catalog_state, classify, normalize
+from search_digest import ITERS, TARGETS
+
+
+def recovery_rows(streams, trials: int):
+    """(stream, target, recovered, histogram, penalized, median ms) per target and stream."""
+    for stream in streams:
+        for k, (name, restarts) in enumerate(TARGETS):
+            base = normalize(catalog_state(name))
+            expected = classify(base).major_class
+            recovered = penalized = 0
+            counts, times = Counter(), []
+            for trial in range(trials):
+                state = scramble_special(base, (stream, k, trial))
+                start = time.perf_counter()
+                report = classify(state, use_font_min=True, seed=trial,
+                                  restarts=restarts, iters=ITERS)
+                times.append(time.perf_counter() - start)
+                sig = report.signature
+                recovered += report.major_class == expected
+                counts[sig.n2, sig.n3, sig.n4] += 1
+                penalized += (sig.n4 > 0) == sig.i48_zero
+            yield stream, name, recovered, counts, penalized, 1e3 * statistics.median(times)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trials", type=int, default=40,
+                        help="scrambles per target and stream (default 40)")
+    parser.add_argument("--streams", type=int, nargs="+", default=[9811],
+                        help="scramble seed streams (default 9811)")
+    args = parser.parse_args(argv)
+    print("| stream | target | recovered | (n2, n3, n4): searches | penalty 1 | ms/search |")
+    print("|---|---|---|---|---|---|")
+    for stream, name, recovered, counts, penalized, ms in recovery_rows(args.streams,
+                                                                       args.trials):
+        histogram = ", ".join(f"{key}: {n}" for key, n in counts.most_common())
+        print(f"| {stream} | {name} | {recovered}/{args.trials} | {histogram} "
+              f"| {penalized} | {ms:.0f} |")
+
+
+if __name__ == "__main__":
+    main()

@@ -27,8 +27,8 @@ from negfonts import (
     triple_invariants,
 )
 from negfonts.classify import _accept_improvements, _decide, _det_moduli, _rotated_amps
-from negfonts.errors import (BadTolerance, MissingParameter, SearchDrift, UnknownFamily,
-                             WrongArity)
+from negfonts.errors import (BadBudget, BadTolerance, MissingParameter, SearchDrift,
+                             UnknownFamily, WrongArity)
 
 classify_module = importlib.import_module("negfonts.classify")
 
@@ -123,6 +123,24 @@ def test_bad_tolerance_is_typed(tol):
             call()
     # a zero tolerance stays valid: W4 is still class VII
     assert classify(w4, tol=0.0).major_class == "VII"
+
+
+@pytest.mark.parametrize("budget", (
+    {"seed": -1}, {"seed": 2.0}, {"seed": True}, {"restarts": -1}, {"restarts": 2.5},
+    {"restarts": True}, {"iters": 0}, {"iters": 60.0}, {"iters": False},
+), ids=repr)
+def test_bad_budget_is_typed(budget):
+    # checked before any work, so also on a state that needs no search
+    ghz = normalize(catalog_state("GHZ4"))
+    for state in (ghz, make_state(4, np.eye(16)[0])):
+        for use_font_min in (True, False):
+            with pytest.raises(BadBudget):
+                classify(state, use_font_min=use_font_min, **{"restarts": 2, **budget})
+    with pytest.raises(BadBudget):
+        font_minimize(ghz, **{"restarts": 2, "iters": 5, **budget})
+    # numpy integers are integers
+    assert classify(ghz, use_font_min=True, seed=np.int64(3), restarts=np.int32(1),
+                    iters=np.uint8(20)).major_class == "IV"
 
 
 def test_determinism():
@@ -287,6 +305,20 @@ def test_c1_recovery_rate():
         if report.major_class != "III":
             missed.append((trial, report.major_class))
     assert len(missed) <= plausible_misses(trials, rate), missed
+
+
+def test_w4_search_reaches_its_three_font_frame():
+    # W4's own frame has three 2-way fonts; the start frame leads the search
+    # there, where from the raw input it ended at 6-24 fonts with four 4-way
+    # fonts that contradict i48 = 0
+    base = normalize(catalog_state("W4"))
+    ends = []
+    for trial in range(8):
+        scrambled = scramble_special(base, (5347, trial))
+        minimized, trace = font_minimize(scrambled, restarts=4, iters=60, seed=trial)
+        counts = tuple(count_nonzero_fonts(minimized, 1, k) for k in (2, 3, 4))
+        ends.append((counts, trace[-1][2]))
+    assert ends.count(((3, 0, 0), 0)) >= 7, ends
 
 
 def test_stall_key_is_count_and_penalty_of_scores():
@@ -614,3 +646,75 @@ def test_surrogate_rows_do_not_depend_on_the_batch_bit_for_bit():
                 for start in range(0, 33, size):
                     batch = kernel(amps, thetas[start:start + size])
                     assert _bits(batch) == _bits(alone[start:start + size])
+
+
+# four-qubit catalog states, with parameters for the families: c07's points
+_START_FRAME_CATALOG = [
+    *[(name, None) for name in ("GHZ4", "W4", "C1", "C2", "C3", "Dicke42", "HS", "BrownPhi")],
+    ("Psi_ab", {"a": 1, "b": 1}), ("Psi_ab", {"a": 1, "b": 2}), ("Psi_a", {"a": 1}),
+    ("G_abcd", {"a": 1, "b": 2, "c": 3, "d": 5}),
+    ("G_abcd", {"a": 1 + 0.5j, "b": 2, "c": 3 - 1j, "d": 5}),
+    ("G_abcd", {"a": 1, "b": 1, "c": 2, "d": 3}), ("L_abc2", {"a": 1, "b": 2, "c": 3}),
+    ("L_a2b2", {"a": 1, "b": 2}), ("L_a2_0_3p1t", {"a": 1}),
+]
+
+
+def _start_frame_inputs():
+    """Unit vectors: the catalog states as written and scrambled, Haar states,
+    basis and product states."""
+    rng = np.random.default_rng(5351)
+    states = [normalize(catalog_state(name, params)) for name, params in _START_FRAME_CATALOG]
+    states += [scramble_special(state, (5351, k)) for k, state in enumerate(states)]
+    states += [random_state(4, (5351, k)) for k in range(8)]
+    states += [make_state(4, np.eye(16)[k]) for k in (0, 5, 15)]
+    states += [make_state(4, reduce(np.kron, [rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                                              for _ in range(4)])) for _ in range(3)]
+    states += [make_state(4, np.kron(random_state(2, (5351, 90 + k)).amps,
+                                     random_state(2, (5351, 95 + k)).amps)) for k in range(3)]
+    # qubit 4 nearly |0>: the quartic's leading coefficient, 2.5e-321, is
+    # 1e320 below its constant term
+    ghz3 = normalize(catalog_state("GHZ3")).amps
+    states += [make_state(4, np.kron(ghz3, [1, 1e-80]))]
+    return [normalize(state) for state in states]
+
+
+def test_root_gates_are_special_unitary_and_zero_their_slice():
+    moved = classify_module._MOVE_LAST
+    for state in _start_frame_inputs():
+        for q in range(4):
+            gates = classify_module._root_gates(state.amps, q)
+            assert len(gates) <= 4
+            np.testing.assert_allclose(gates @ gates.conj().swapaxes(-1, -2),
+                                       np.broadcast_to(np.eye(2), gates.shape), atol=1e-12)
+            np.testing.assert_allclose(np.linalg.det(gates), 1, atol=1e-12)
+            for vec in classify_module._apply_gates(state.amps, q, gates):
+                rotated = make_state(4, vec[moved[q]])
+                assert abs(classify_module._quartic_coefficients(rotated)[0]) <= 1e-12
+
+
+def test_start_frame_is_a_never_worse_local_unitary_image():
+    floor = classify_module._START_FLOOR
+    for state in _start_frame_inputs():
+        has_four_body = bool(abs(triple_invariants(state).i48) > 1e-9)
+        frame = classify_module._start_frame(state.amps, has_four_body)
+        assert frame.shape == (16,) and np.all(np.isfinite(frame))
+        drift = np.abs(classify_module._invariant_fingerprint(make_state(4, frame))
+                       - classify_module._invariant_fingerprint(state))
+        assert drift.max() <= 1e-12
+        assert abs(np.linalg.norm(frame) - 1) <= 1e-12
+        got, before = (classify_module._scores(v, floor, has_four_body).tolist()
+                       for v in (frame, state.amps))
+        assert got <= before
+        # a frame with the input's count and penalty is not taken
+        assert got[:2] < before[:2] or frame.tobytes() == state.amps.tobytes()
+        # a power-of-two scale normalizes to the same unit vector, bit for bit
+        # (below 2**-200 the 1e-80 amplitude above would underflow)
+        ref = classify_module._start_frame(normalize(state).amps, has_four_body)
+        for k in (-200, -3, 7, 900):
+            scaled = normalize(make_state(4, state.amps * 2.0 ** k))
+            assert (classify_module._start_frame(scaled.amps, has_four_body).tobytes()
+                    == ref.tobytes()), k
+    # no root frame simplifies a Haar state: its search starts from the input
+    for k in range(8):
+        haar = random_state(4, (5353, k))
+        assert classify_module._start_frame(haar.amps, True).tobytes() == haar.amps.tobytes()

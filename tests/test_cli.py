@@ -297,6 +297,23 @@ def test_repeated_parameter_exit_2(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", (
+    ("classify", "--font-min", "--seed", "-1"),
+    ("classify", "--seed", "-1"),
+    ("classify", "--font-min", "--restarts", "-1"),
+    ("classify", "--iters", "0"),
+    *[("check", "--suite", suite, "--seed", "-1")
+      for suite in ("decomposition", "invariance", "negativity-relation", "vanishing")],
+), ids=" ".join)
+def test_bad_seed_or_budget_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "ghz4.txt"
+    write_state_file(str(path), catalog_state("GHZ4"))
+    infile = ("--in", str(path)) if argv[0] == "classify" else ()
+    code, out, err = run(capsys, argv[0], *infile, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("trials", ("0", "-2"))
 def test_check_invalid_trials_exit_2(capsys, trials):
     code, out, err = run(capsys, "check", "--suite", "vanishing", "--trials", trials)
