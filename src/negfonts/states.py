@@ -127,16 +127,30 @@ def normalize(state: PureState) -> PureState:
     return PureState(state.n_qubits, vec, normalized=True)
 
 
-def local_unitary(matrix: np.ndarray, qubit: int, special: bool = False) -> LocalUnitary:
-    """Validate and wrap a 2x2 unitary for one qubit."""
-    m = np.asarray(matrix, dtype=np.complex128)
+def _check_unitary(m: np.ndarray, special: bool = False) -> None:
+    """Raise NonUnitary unless m is a 2x2 unitary within 1e-12, of unit
+    determinant if `special`.
+
+    The defect sums the moduli of the distinct entries of m^H m - I on Python
+    numbers, so a NaN or infinite entry gives a NaN or infinite defect, which
+    `not defect <= tol` rejects.
+    """
     if m.shape != (2, 2):
         raise NonUnitary(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.max(np.abs(m.conj().T @ m - np.eye(2))) > _UNITARY_TOL:
+    a, b, c, d = m.ravel().tolist()
+    defect = (abs(abs(a) * abs(a) + abs(c) * abs(c) - 1)
+              + abs(abs(b) * abs(b) + abs(d) * abs(d) - 1)
+              + abs(a.conjugate() * b + c.conjugate() * d))
+    if not defect <= _UNITARY_TOL:
         raise NonUnitary("matrix is not unitary within 1e-12")
-    if special and abs(np.linalg.det(m) - 1.0) > _UNITARY_TOL:
+    if special and not abs(a * d - b * c - 1) <= _UNITARY_TOL:
         raise NonUnitary("special unitary must have unit determinant")
-    m = m.copy()
+
+
+def local_unitary(matrix: np.ndarray, qubit: int, special: bool = False) -> LocalUnitary:
+    """Validate and wrap a 2x2 unitary for one qubit."""
+    m = np.array(matrix, dtype=np.complex128)
+    _check_unitary(m, special)
     m.setflags(write=False)
     return LocalUnitary(matrix=m, qubit=qubit, special=special)
 
@@ -146,12 +160,12 @@ def apply_local_unitary(state: PureState, u: LocalUnitary) -> PureState:
     n = state.n_qubits
     if not 1 <= u.qubit <= n:
         raise QubitOutOfRange(f"qubit {u.qubit} outside 1..{n}")
-    if np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(2))) > _UNITARY_TOL:
-        raise NonUnitary("matrix is not unitary within 1e-12")
-    ax = u.qubit - 1
-    psi = np.tensordot(u.matrix, state.tensor(), axes=([1], [ax]))
-    psi = np.moveaxis(psi, 0, ax)
-    vec = np.ascontiguousarray(psi).reshape(-1)
+    _check_unitary(u.matrix)
+    # the qubit's axis first, the others flattened in order: the one matmul
+    # `np.tensordot` would make, without its bookkeeping
+    lead = 1 << (u.qubit - 1)
+    psi = state.amps.reshape(lead, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    vec = np.dot(u.matrix, psi).reshape(2, lead, -1).swapaxes(0, 1).reshape(-1)
     vec.setflags(write=False)
     return PureState(n, vec, normalized=state.normalized)
 

@@ -1,14 +1,17 @@
 """Print how often the font search recovers each target's class, and where it ends.
 
-For every target of `search_digest.py` (GHZ4 and W4 at 4 restarts, C1 at 16)
-and every stream, `--trials` scrambles `scramble_special(state, (stream,
-target, trial))` are classified with `classify(..., use_font_min=True,
-iters=60, seed=trial)`.  Each row gives how many came out in the class of the
-catalog frame, a histogram of the searched frame's (n2, n3, n4) with the
-number of frames whose 4-way fonts disagree with i48 (penalty 1), and the
-median milliseconds per `classify` call.
+For every target and every stream, `--trials` scrambles `scramble_special(
+state, (stream, target, trial))` are classified with `classify(...,
+use_font_min=True, iters=60, seed=trial)`.  The targets are those of
+`search_digest.py` (GHZ4 and W4 at 4 restarts, C1 at 16); `--targets all`
+adds the other worked examples at 16 restarts: Psi_ab(1,1), Psi_a(1), the
+five G_abcd points, BrownPhi, HS, Dicke42, C2 and C3.  Each row gives how
+many came out in the class of the catalog frame, a histogram of the searched
+frame's (n2, n3, n4) with the number of frames whose 4-way fonts disagree
+with i48 (penalty 1), and the median milliseconds per `classify` call.
 
     PYTHONPATH=src python3 tests/recovery_table.py --trials 40 --streams 9811 9823
+    PYTHONPATH=src python3 tests/recovery_table.py --targets all --trials 20
 
 A change to the font search that is not bit for bit (`search_digest.py`
 prints a new digest) is judged on this table, run on its parent and on it,
@@ -28,12 +31,27 @@ from helpers import scramble_special
 from negfonts import catalog_state, classify, normalize
 from search_digest import ITERS, TARGETS
 
+# (label, catalog name, parameters, restarts); the digest targets come first,
+# so their scramble seeds are the same under either choice of targets
+DIGEST = tuple((name, name, None, restarts) for name, restarts in TARGETS)
+WORKED = DIGEST + tuple((label, name, params, 16) for label, name, params in (
+    ("Psi_ab(1,1)", "Psi_ab", {"a": 1, "b": 1}),
+    ("Psi_a(1)", "Psi_a", {"a": 1}),
+    ("G_abcd(1,2,3,5)", "G_abcd", {"a": 1, "b": 2, "c": 3, "d": 5}),
+    ("G_abcd(1+0.5i,2,3-i,5)", "G_abcd", {"a": 1 + 0.5j, "b": 2, "c": 3 - 1j, "d": 5}),
+    ("G_a00a", "G_abcd", {"a": 1, "b": 0, "c": 0, "d": 1}),
+    ("G_0bb0", "G_abcd", {"a": 0, "b": 0.7, "c": 0.7, "d": 0}),
+    ("G_aaaa", "G_abcd", {"a": 0.8, "b": 0.8, "c": 0.8, "d": 0.8}),
+    *((name, name, None) for name in ("BrownPhi", "HS", "Dicke42", "C2", "C3")),
+))
+TARGET_SETS = {"digest": DIGEST, "all": WORKED}
 
-def recovery_rows(streams, trials: int):
+
+def recovery_rows(streams, trials: int, targets=DIGEST):
     """(stream, target, recovered, histogram, penalized, median ms) per target and stream."""
     for stream in streams:
-        for k, (name, restarts) in enumerate(TARGETS):
-            base = normalize(catalog_state(name))
+        for k, (label, name, params, restarts) in enumerate(targets):
+            base = normalize(catalog_state(name, params))
             expected = classify(base).major_class
             recovered = penalized = 0
             counts, times = Counter(), []
@@ -47,7 +65,7 @@ def recovery_rows(streams, trials: int):
                 recovered += report.major_class == expected
                 counts[sig.n2, sig.n3, sig.n4] += 1
                 penalized += (sig.n4 > 0) == sig.i48_zero
-            yield stream, name, recovered, counts, penalized, 1e3 * statistics.median(times)
+            yield stream, label, recovered, counts, penalized, 1e3 * statistics.median(times)
 
 
 def main(argv=None) -> None:
@@ -56,11 +74,14 @@ def main(argv=None) -> None:
                         help="scrambles per target and stream (default 40)")
     parser.add_argument("--streams", type=int, nargs="+", default=[9811],
                         help="scramble seed streams (default 9811)")
+    parser.add_argument("--targets", choices=sorted(TARGET_SETS), default="digest",
+                        help="digest: GHZ4, W4 and C1 (default); all: also every "
+                             "worked example and named catalog state")
     args = parser.parse_args(argv)
     print("| stream | target | recovered | (n2, n3, n4): searches | penalty 1 | ms/search |")
     print("|---|---|---|---|---|---|")
-    for stream, name, recovered, counts, penalized, ms in recovery_rows(args.streams,
-                                                                       args.trials):
+    for stream, name, recovered, counts, penalized, ms in recovery_rows(
+            args.streams, args.trials, TARGET_SETS[args.targets]):
         histogram = ", ".join(f"{key}: {n}" for key, n in counts.most_common())
         print(f"| {stream} | {name} | {recovered}/{args.trials} | {histogram} "
               f"| {penalized} | {ms:.0f} |")

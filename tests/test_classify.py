@@ -383,13 +383,22 @@ def test_font_minimize_trace_layout(monkeypatch):
         for restarts in (0, 1, 3):
             rounds.clear()
             scrambled = scramble_special(normalize(catalog_state(name)), (5309, idx, restarts))
-            _, trace = font_minimize(scrambled, restarts=restarts, iters=20, seed=restarts)
+            frame, trace = font_minimize(scrambled, restarts=restarts, iters=20,
+                                         seed=restarts)
             assert rounds and 1 <= rounds[0] <= 16
             assert len(trace) == 1 + restarts + rounds[0]
             assert [row[0] for row in trace] == list(range(len(trace)))
             assert all(len(row) == 5 for row in trace)
             objectives = [row[1:] for row in trace]
             assert all(b <= a for a, b in zip(objectives, objectives[1:])), (name, trace)
+            # the trace ends at the returned frame's objective; the phase gauge
+            # moves its modulus sum by rounding after the trace scored it
+            has_four_body = bool(abs(classify_module.i48(scrambled)) > 1e-9)
+            score = classify_module._row(classify_module._scores(frame.amps, 1e-9,
+                                                                 has_four_body))
+            last = trace[-1][1:]
+            assert (score[:2], score[3]) == (last[:2], last[3]), (name, trace)
+            assert score[2] == pytest.approx(last[2], rel=0, abs=1e-12)
 
 
 def _euler_reference(a, b, g):

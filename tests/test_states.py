@@ -1,9 +1,13 @@
 """State construction, indexing, unitaries, permutations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from helpers import haar_u2
 from negfonts import (
+    LocalUnitary,
     apply_local_unitary,
     bits_of_index,
     index_of_bits,
@@ -98,6 +102,47 @@ def test_apply_errors():
         apply_local_unitary(s, local_unitary(np.eye(2), qubit=3))
     with pytest.raises(NonUnitary):
         local_unitary(np.array([[1, 1], [0, 1]]), qubit=1)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("entry", range(4))
+def test_non_finite_matrices_are_not_unitary(bad, entry):
+    state = random_state(3, 19)
+    for base in (np.eye(2), np.array([[0, 1], [-1, 0]]), np.array([[1, 1], [-1, 1]]) / np.sqrt(2)):
+        m = base.astype(complex)
+        m.flat[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for special in (False, True):
+                with pytest.raises(NonUnitary):
+                    local_unitary(m, 1, special=special)
+            for qubit in (1, 3):
+                with pytest.raises(NonUnitary):
+                    apply_local_unitary(state, LocalUnitary(m, qubit))
+
+
+def _tensordot_apply(state, u):
+    """`apply_local_unitary` as first written, through `np.tensordot`."""
+    ax = u.qubit - 1
+    psi = np.moveaxis(np.tensordot(u.matrix, state.tensor(), axes=([1], [ax])), 0, ax)
+    return np.ascontiguousarray(psi).reshape(-1)
+
+
+def test_apply_matches_the_tensordot_form_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        n = 2 + trial % 5
+        state = random_state(n, (23, trial))
+        if trial % 3 == 0:     # unnormalized, with exact zeros and negative zeros
+            scales = rng.choice([0.0, -0.0, 1e-200, 3.0, 1e150], 1 << n)
+            scales[0] = 3.0
+            state = make_state(n, state.amps * scales)
+        for qubit in range(1, n + 1):
+            u = (random_special_unitary((29, trial), qubit) if trial % 2
+                 else local_unitary(haar_u2(rng), qubit))
+            got = apply_local_unitary(state, u)
+            assert got.amps.tobytes() == _tensordot_apply(state, u).tobytes(), (trial, qubit)
+            assert got.normalized == state.normalized and not got.amps.flags.writeable
 
 
 def test_apply_preserves_norm():
