@@ -334,65 +334,33 @@ def _apply_gates(vecs: np.ndarray, q: int, gates: np.ndarray) -> np.ndarray:
     return (gates[:, None] @ split).reshape(vecs.shape[:-1] + (len(gates), size))
 
 
-def _accept_improvements(vec, best, candidates, block: int, scores, floor: float):
-    """One greedy pass: accept, in loop order, each strictly better candidate.
-
-    `candidates(v)` lists the moves of the pass from v in loop order, in
-    blocks of `block` moves that the loop builds from the best vector at the
-    start of the block.  All remaining moves are built as one batch and
-    scored together.  After an acceptance, the rest of its block is judged against the
-    new best, and the later blocks are rebuilt from the new best vector, so
-    the pass accepts exactly the moves a move-by-move loop accepts.
-    Returns (vec, best, improved).
-    """
-    improved = False
-    start = 0
-    vecs = candidates(vec)
-    while len(vecs):
-        # scored in slices: a pair pass holds 3174 moves, and their minors
-        # at once would take ~10 MB
-        rows = np.concatenate([scores(part)
-                               for part in np.split(vecs, range(512, len(vecs), 512))])
-        i, stop = 0, len(vecs)
-        while True:
-            hits = np.flatnonzero(_better(rows[i:stop], best, floor))
-            if not hits.size:
-                break
-            k = i + int(hits[0])
-            vec, best, improved = vecs[k], _row(rows[k]), True
-            i = k + 1
-            stop = ((start + k) // block + 1) * block - start
-        start += stop
-        vecs = candidates(vec)[start:] if stop < len(vecs) else vecs[:0]
-    return vec, best, improved
+# `_better` ties the modulus sums of two Clifford frames closer than this
+_SUM_FLOOR = 1e-9
 
 
-def _clifford_refine(vec: np.ndarray, best: tuple, scores, floor: float):
+def _clifford_refine(vec: np.ndarray, best: tuple, scores):
     """Greedy hill-climb over single-qubit Clifford moves, at most 16 rounds.
 
-    Each round tries every (qubit, gate) move in turn.  A round that improves
-    nothing while the frame is signature-inconsistent (penalty 1) tries
-    pairs of moves on two qubits: single moves can pass through
-    equal-objective frames.  Returns (vec, best, objective after each round).
+    Each round tries the 23 non-identity gates on each qubit in turn and
+    accepts every move strictly better than the best so far.  The moves left
+    in a round are scored in one batch, and rebuilt from the new best after
+    each acceptance, so a round accepts exactly what a move-by-move loop
+    accepts.  Returns (vec, best, objective after each round).
     """
     moves = _clifford_gates()[1:]
     n = vec.size.bit_length() - 1
-    pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]
-
-    def singles(v):
-        return np.concatenate([_apply_gates(v, q, moves) for q in range(n)])
-
-    def doubles(v):
-        # block (qa, qb, ga) holds the moves gb on qb after ga on qa
-        return np.concatenate([_apply_gates(_apply_gates(v, qa, moves), qb, moves)
-                               .reshape(-1, v.size) for qa, qb in pairs])
-
     rounds = []
     for _round in range(16):
-        vec, best, improved = _accept_improvements(vec, best, singles, 1, scores, floor)
-        if not improved and best[1] != 0:
-            vec, best, improved = _accept_improvements(vec, best, doubles, len(moves),
-                                                       scores, floor)
+        improved, done = False, 0
+        while done < n * len(moves):
+            vecs = np.concatenate([_apply_gates(vec, q, moves) for q in range(n)])[done:]
+            rows = scores(vecs)
+            hits = np.flatnonzero(_better(rows, best, _SUM_FLOOR))
+            if not hits.size:
+                break
+            k = int(hits[0])
+            vec, best, improved = vecs[k], _row(rows[k]), True
+            done += k + 1
         rounds.append(best)
         if not improved:
             break
@@ -564,7 +532,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     # real amplitude gauge to line the phases up.  The gauge only touches
     # phases, so the objective is unchanged and it is safe to apply always.
     best_vec = _phase_gauge(best_vec, tol)
-    best_vec, best, rounds = _clifford_refine(best_vec, best, scores, 1e-9)
+    best_vec, best, rounds = _clifford_refine(best_vec, best, scores)
     trace.extend((restarts + 1 + k, *row) for k, row in enumerate(rounds))
 
     final = np.array(best_vec)

@@ -8,7 +8,10 @@ adds the other worked examples at 16 restarts: Psi_ab(1,1), Psi_a(1), the
 five G_abcd points, BrownPhi, HS, Dicke42, C2 and C3.  Each row gives how
 many came out in the class of the catalog frame, a histogram of the searched
 frame's (n2, n3, n4) with the number of frames whose 4-way fonts disagree
-with i48 (penalty 1), and the median milliseconds per `classify` call.
+with i48 (penalty 1), the median milliseconds per `classify` call, and an
+outcome digest: the first 8 hex digits of a SHA-256 over each search's
+(class, n2, n3, n4, penalty) in trial order.  Two commits whose rows print
+the same digest ended every search of that row alike, search by search.
 
     PYTHONPATH=src python3 tests/recovery_table.py --trials 40 --streams 9811 9823
     PYTHONPATH=src python3 tests/recovery_table.py --targets all --trials 20
@@ -23,6 +26,7 @@ The file is not named test_*.py, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import statistics
 import time
 from collections import Counter
@@ -48,13 +52,15 @@ TARGET_SETS = {"digest": DIGEST, "all": WORKED}
 
 
 def recovery_rows(streams, trials: int, targets=DIGEST):
-    """(stream, target, recovered, histogram, penalized, median ms) per target and stream."""
+    """(stream, target, recovered, histogram, penalized, median ms, outcome digest)
+    per target and stream."""
     for stream in streams:
         for k, (label, name, params, restarts) in enumerate(targets):
             base = normalize(catalog_state(name, params))
             expected = classify(base).major_class
             recovered = penalized = 0
             counts, times = Counter(), []
+            outcomes = hashlib.sha256()
             for trial in range(trials):
                 state = scramble_special(base, (stream, k, trial))
                 start = time.perf_counter()
@@ -64,8 +70,12 @@ def recovery_rows(streams, trials: int, targets=DIGEST):
                 sig = report.signature
                 recovered += report.major_class == expected
                 counts[sig.n2, sig.n3, sig.n4] += 1
-                penalized += (sig.n4 > 0) == sig.i48_zero
-            yield stream, label, recovered, counts, penalized, 1e3 * statistics.median(times)
+                penalty = int((sig.n4 > 0) == sig.i48_zero)
+                penalized += penalty
+                outcomes.update(repr((report.major_class, sig.n2, sig.n3, sig.n4,
+                                      penalty)).encode())
+            yield (stream, label, recovered, counts, penalized,
+                   1e3 * statistics.median(times), outcomes.hexdigest()[:8])
 
 
 def main(argv=None) -> None:
@@ -78,13 +88,14 @@ def main(argv=None) -> None:
                         help="digest: GHZ4, W4 and C1 (default); all: also every "
                              "worked example and named catalog state")
     args = parser.parse_args(argv)
-    print("| stream | target | recovered | (n2, n3, n4): searches | penalty 1 | ms/search |")
-    print("|---|---|---|---|---|---|")
-    for stream, name, recovered, counts, penalized, ms in recovery_rows(
+    print("| stream | target | recovered | (n2, n3, n4): searches | penalty 1 | ms/search "
+          "| outcomes |")
+    print("|---|---|---|---|---|---|---|")
+    for stream, name, recovered, counts, penalized, ms, outcomes in recovery_rows(
             args.streams, args.trials, TARGET_SETS[args.targets]):
         histogram = ", ".join(f"{key}: {n}" for key, n in counts.most_common())
         print(f"| {stream} | {name} | {recovered}/{args.trials} | {histogram} "
-              f"| {penalized} | {ms:.0f} |")
+              f"| {penalized} | {ms:.0f} | {outcomes} |")
 
 
 if __name__ == "__main__":
