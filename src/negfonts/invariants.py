@@ -9,28 +9,53 @@ three-qubit slices with qubit 3 or qubit 4 fixed plus the four 4-way dets.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import QubitOutOfRange, WrongArity, check_tolerance
 from .fonts import DEFAULT_TOL, FontSpec, font_det
 from .ptrans import negativity
-from .states import PureState, inverse_permutation, permute_qubits
+from .states import PureState, _power, inverse_permutation, permute_qubits
 
 PAIRS4 = tuple(combinations((1, 2, 3, 4), 2))
 
+# The kernels below read the amplitudes once, as Python complex numbers
+# (`amps.tolist()`), and give the bits numpy's complex128 and float64 scalars
+# gave: products, sums and differences round alike, and the helpers write out
+# numpy's forms where Python's differ (powers, moduli, division by a real).
+
 
 def _modulus(value) -> float:
-    """|value|, saturating to inf where abs() of a Python complex with finite
-    parts raises OverflowError."""
+    """|value| as numpy's abs gives it: inf where abs() of a Python complex with
+    finite parts raises OverflowError.  CPython 3.11 also raises it for a NaN
+    part when a C library call before it left errno at ERANGE; that is NaN."""
     try:
         return abs(value)
     except OverflowError:
-        return math.inf
+        return math.nan if cmath.isnan(value) else math.inf
+
+
+def _square(z: complex) -> complex:
+    """z ** 2 as numpy's complex128 computes it: z * z, but +0j for any zero."""
+    return z * z if z else 0j
+
+
+def _cube(z: complex) -> complex:
+    """z ** 3 as numpy's complex128 computes it: z * (z * z), but +0j for any zero."""
+    return z * (z * z) if z else 0j
+
+
+def _over(z: complex, d: float) -> complex:
+    """z / d as numpy's complex128 computes it: the divisor d + 0j leaves
+    zero cross terms, and the sum is scaled by 1 / d."""
+    r = 1.0 / d
+    return complex((z.real + z.imag * 0.0) * r, (z.imag - z.real * 0.0) * r)
 
 
 def _require(state: PureState, n: int, op: str) -> None:
@@ -62,46 +87,58 @@ def i2_pair(state: PureState) -> float:
 # three qubits
 
 
-# the axes that move each three-qubit pair's spectator last, the pair keeping
-# its order: `_pair_dets` of the view are that pair's dets
-_SPECTATOR_LAST = {(1, 2): (0, 1, 2), (1, 3): (0, 2, 1), (2, 3): (1, 2, 0)}
+def _gather(positions: np.ndarray) -> itemgetter:
+    """Reads the flat amplitudes at `positions`, in their C order."""
+    return itemgetter(*positions.ravel().tolist())
 
 
-def _pair_dets(t: np.ndarray):
-    """(D0, D1): the pair (1,2) dets of t = amps as (2, 2, 2), qubit 3 at 0 and 1."""
-    return tuple(t[0, 0, b] * t[1, 1, b] - t[0, 1, b] * t[1, 0, b] for b in (0, 1))
+# for each three-qubit pair, the view of the flat amplitudes with its
+# spectator moved last, the pair keeping its order: `_pair_dets` of the view
+# are that pair's dets
+_SPECTATOR_LAST = {pair: _gather(np.arange(8).reshape(2, 2, 2).transpose(axes))
+                   for pair, axes in {(1, 2): (0, 1, 2), (1, 3): (0, 2, 1),
+                                      (2, 3): (1, 2, 0)}.items()}
 
 
-def _dets3(amps: np.ndarray):
-    """Pair dets (spectator bit 0/1 for each pair) and the two canonical 3-way dets."""
-    t = amps.reshape(2, 2, 2)
-    pair_dets = {pair: _pair_dets(t.transpose(axes)) for pair, axes in _SPECTATOR_LAST.items()}
-    g000 = t[0, 0, 0] * t[1, 1, 1] - t[1, 0, 0] * t[0, 1, 1]
-    g001 = t[0, 0, 1] * t[1, 1, 0] - t[1, 0, 1] * t[0, 1, 0]
-    return pair_dets, g000, g001
+def _pair_dets(u) -> tuple[complex, complex]:
+    """(D0, D1): the pair (1,2) dets of the flat three-qubit amplitudes u,
+    qubit 3 at 0 and 1."""
+    return u[0] * u[6] - u[2] * u[4], u[1] * u[7] - u[3] * u[5]
 
 
-def _canonical_sum(t: np.ndarray):
-    """g000 + g001 of t = amps as (2, 2, 2), associated as `_dets3` forms them."""
-    return ((t[0, 0, 0] * t[1, 1, 1] - t[1, 0, 0] * t[0, 1, 1])
-            + (t[0, 0, 1] * t[1, 1, 0] - t[1, 0, 1] * t[0, 1, 0]))
+def _canonical_dets(u) -> tuple[complex, complex]:
+    """(g000, g001): the canonical 3-way dets of the flat three-qubit amplitudes u."""
+    return u[0] * u[7] - u[4] * u[3], u[1] * u[6] - u[5] * u[2]
 
 
-def _three_way_terms(t: np.ndarray):
-    """(`_pair_dets(t)`, g000 + g001) of t = amps as (2, 2, 2): the only dets
-    that the three-way invariant reads."""
-    return _pair_dets(t), _canonical_sum(t)
+def _dets3(u):
+    """Pair dets (spectator bit 0/1 for each pair) and the two canonical 3-way
+    dets of the flat three-qubit amplitudes u."""
+    pair_dets = {pair: _pair_dets(view(u)) for pair, view in _SPECTATOR_LAST.items()}
+    return (pair_dets, *_canonical_dets(u))
 
 
-def _three_way(d, g):
+def _canonical_sum(u) -> complex:
+    """g000 + g001 of the flat three-qubit amplitudes u."""
+    g000, g001 = _canonical_dets(u)
+    return g000 + g001
+
+
+def _three_way_terms(u):
+    """(`_pair_dets(u)`, g000 + g001) of the flat three-qubit amplitudes u:
+    the only dets that the three-way invariant reads."""
+    return _pair_dets(u), _canonical_sum(u)
+
+
+def _three_way(d, g) -> complex:
     """g^2 - 4 D0 D1 from the pair dets d = (D0, D1) and g = g000 + g001."""
-    return g ** 2 - 4 * d[0] * d[1]
+    return _square(g) - 4 * d[0] * d[1]
 
 
 def three_way_invariant(state: PureState) -> complex:
     """Degree-4 invariant detecting GHZ-type three-body correlations."""
     _require(state, 3, "three_way_invariant")
-    return complex(_three_way(*_three_way_terms(state.amps.reshape(2, 2, 2))))
+    return _three_way(*_three_way_terms(state.amps.tolist()))
 
 
 def three_tangle(state: PureState) -> float:
@@ -117,11 +154,12 @@ def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
     this form by relabeling.
     """
     _require(state, 3, "n_pair_sq")
-    axes = _SPECTATOR_LAST.get(tuple(sorted(pair)))
-    if axes is None:
+    view = _SPECTATOR_LAST.get(tuple(sorted(pair)))
+    if view is None:
         raise QubitOutOfRange(f"n_pair_sq needs two distinct qubits of 1..3, got {pair}")
-    (d0, d1), g = _three_way_terms(state.tensor().transpose(axes))
-    return float(abs(d0) ** 2 + abs(d1) ** 2 + 2 * abs(g / 2) ** 2)
+    (d0, d1), g = _three_way_terms(view(state.amps.tolist()))
+    return (_power(_modulus(d0), 2) + _power(_modulus(d1), 2)
+            + 2 * _power(_modulus(_over(g, 2)), 2))
 
 
 @dataclass(frozen=True)
@@ -142,23 +180,22 @@ class ThreeQubitReport:
 def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubitReport:
     _require(state, 3, "three_qubit_report")
     check_tolerance(tol)
-    pair_dets, g000, g001 = _dets3(state.amps)
-    i3 = complex(_three_way(pair_dets[(1, 2)], g000 + g001))
-    norm = state.norm
-    w_sums = {pair: float(abs(d[0]) + abs(d[1])) for pair, d in pair_dets.items()}
+    pair_dets, g000, g001 = _dets3(state.amps.tolist())
+    i3 = _three_way(pair_dets[(1, 2)], g000 + g001)
+    w_sums = {pair: _modulus(d[0]) + _modulus(d[1]) for pair, d in pair_dets.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
     pair_sq = {pair: n_pair_sq(state, pair) for pair in pair_dets}
     n_g = negativity(state, 1)
     return ThreeQubitReport(
         pair_dets=pair_dets,
-        d3_canonical=(complex(g000), complex(g001)),
+        d3_canonical=(g000, g001),
         n_pair_sq=pair_sq,
-        n_global_sq=float(np.float64(n_g) ** 2),
+        n_global_sq=_power(n_g, 2),
         i3=i3,
         tau3=4.0 * _modulus(i3),
-        i3_is_zero=bool(_modulus(i3) <= tol * norm ** 4),     # degree 4
+        i3_is_zero=bool(_modulus(i3) <= tol * _power(float(state.norm), 4)),  # degree 4
         w_sums=w_sums,
-        i2_w=float(3.0 * (w12 * w13 + w12 * w23 + w13 * w23)),
+        i2_w=3.0 * (w12 * w13 + w12 * w23 + w13 * w23),
     )
 
 
@@ -166,33 +203,37 @@ def n_global_sq_relation(state: PureState) -> tuple[float, float]:
     """(lhs, rhs) of: squared global negativity of qubit 1 equals
     4*(pair 1,2 invariant) + 4*(pair 1,3 invariant)."""
     _require(state, 3, "n_global_sq_relation")
-    lhs = np.float64(negativity(state, 1)) ** 2
+    lhs = _power(negativity(state, 1), 2)
     rhs = 4.0 * n_pair_sq(state, (1, 2)) + 4.0 * n_pair_sq(state, (1, 3))
-    return float(lhs), float(rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # four qubits
 
 
-def _four_way_dets(t: np.ndarray) -> list:
-    """The four independent 4-way dets of t = amps as (2, 2, 2, 2), for the
-    spectator bits (i3, i4) = 00, 01, 10, 11."""
-    return [t[0, 0, i3, i4] * t[1, 1, 1 - i3, 1 - i4]
-            - t[1, 0, i3, i4] * t[0, 1, 1 - i3, 1 - i4]
-            for i3 in (0, 1) for i4 in (0, 1)]
+def _four_way_dets(a) -> list[complex]:
+    """The four independent 4-way dets of the flat four-qubit amplitudes a, for
+    the spectator bits (i3, i4) = 00, 01, 10, 11: with t = a as (2, 2, 2, 2),
+    t[0, 0, i3, i4] t[1, 1, 1-i3, 1-i4] - t[1, 0, i3, i4] t[0, 1, 1-i3, 1-i4]."""
+    return [a[c] * a[15 - c] - a[8 + c] * a[7 - c] for c in range(4)]
 
 
 def i4(state: PureState) -> complex:
     """Degree-2 invariant: alternating sum of the four 4-way dets."""
     _require(state, 4, "i4")
-    d00, d01, d10, d11 = _four_way_dets(state.amps.reshape(2, 2, 2, 2))
-    return complex(d00 + d11 - d10 - d01)
+    d00, d01, d10, d11 = _four_way_dets(state.amps.tolist())
+    return d00 + d11 - d10 - d01
 
 
 def tau4(state: PureState) -> float:
     """Degree-2 monotone 4*|i4|; nonzero also on pair-product states."""
     return 4.0 * _modulus(i4(state))
+
+
+# the flat three-qubit slices of the flat four-qubit amplitudes with qubit 3
+# fixed at 0 and at 1; a[b::2] are those with qubit 4 fixed at b
+_QUBIT3_AT = tuple(_gather(np.arange(16).reshape(2, 2, 2, 2)[:, :, b, :]) for b in (0, 1))
 
 
 def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
@@ -206,49 +247,52 @@ def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
     dets with the 3-way dets of the slices t[:, :, b, :] (qubit 3 fixed at b)
     and the four 4-way dets.
     """
-    t = state.amps.reshape(2, 2, 2, 2)
+    a = state.amps.tolist()
     # d[b][i]: qubit 3 at i, qubit 4 at b
-    d, e = zip(*(_three_way_terms(t[..., b]) for b in (0, 1)))
-    i3 = [_three_way(d[b], e[b]) for b in (0, 1)]
-    f = [_canonical_sum(t[:, :, b, :]) for b in (0, 1)]
-    d00, d01, d10, d11 = _four_way_dets(t)
+    d, e = zip(*(_three_way_terms(a[b::2]) for b in (0, 1)))
+    f = [_canonical_sum(slice3(a)) for slice3 in _QUBIT3_AT]
+    d00, d01, d10, d11 = _four_way_dets(a)
     s4 = d00 + d01 + d10 + d11
-    t_val = (s4 ** 2 / 6.0
+    t_val = (_over(_square(s4), 6.0)
              - (2.0 / 3.0) * f[0] * f[1]
              + (1.0 / 3.0) * e[0] * e[1]
              - (2.0 / 3.0) * (d[0][0] * d[1][1] + d[1][0] * d[0][1]))
     p0, p1 = (0.5 * e[b] * s4 - (d[b][1] * f[0] + d[b][0] * f[1]) for b in (0, 1))
-    return tuple(complex(c) for c in (i3[0], i3[1], t_val, p0, p1))
+    return _three_way(d[0], e[0]), _three_way(d[1], e[1]), t_val, p0, p1
 
 
 def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
                         p0: complex, p1: complex) -> dict:
     """Coefficients and invariants of the quartic with weighted coefficients
     (i3_0, 4 P0, 6 T, 4 P1, i3_1): the fields of `TripleInvariants` but
-    `singled`.  The algebra runs on numpy scalars, so an overflow saturates
-    to inf instead of raising."""
-    i3_0, i3_1, t, p0, p1 = (np.complex128(c) for c in (i3_0, i3_1, t, p0, p1))
-    val48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
+    `singled`.
+
+    The algebra runs on Python complex numbers and gives numpy complex128's
+    bits: powers are the products numpy forms, moduli and squared moduli
+    saturate to inf where Python would raise OverflowError."""
+    val48 = 3 * _square(t) - 4 * p0 * p1 + i3_0 * i3_1
     # |i3_1 p1 t; p1 t p0; t p0 i3_0| by cofactors along the first row: LU
     # would divide by a subnormal pivot when the coefficients underflow
     val_j = (i3_1 * (t * i3_0 - p0 * p0) - p1 * (p1 * i3_0 - p0 * t)
              + t * (p1 * p0 - t * t))
-    n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
-            + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+    n_sq = (_power(_modulus(i3_0), 2) + _power(_modulus(i3_1), 2)
+            + 6 * _power(_modulus(t), 2)
+            + 4 * _power(_modulus(p0), 2) + 4 * _power(_modulus(p1), 2))
     return {
-        "i3_0": complex(i3_0), "i3_1": complex(i3_1), "t": complex(t),
-        "p0": complex(p0), "p1": complex(p1),
-        "i48": complex(val48), "j12": complex(val_j),
-        "delta24": complex(val48 ** 3 - 27 * val_j ** 2),
-        "n_sq": float(n_sq),
-        "dres": float(n_sq - 2 * abs(val48)),
+        "i3_0": i3_0, "i3_1": i3_1, "t": t, "p0": p0, "p1": p1,
+        "i48": val48, "j12": val_j,
+        "delta24": _cube(val48) - 27 * _square(val_j),
+        "n_sq": n_sq,
+        "dres": n_sq - 2 * _modulus(val48),
     }
 
 
 def i3_conditional(state: PureState, i4bit: int) -> complex:
     """Three-way invariant of the triple (1,2,3) with qubit 4 fixed at i4bit."""
     _require(state, 4, "i3_conditional")
-    return _quartic_coefficients(state)[:2][int(i4bit)]
+    if isinstance(i4bit, bool) or not isinstance(i4bit, (int, np.integer)) or i4bit not in (0, 1):
+        raise QubitOutOfRange(f"i3_conditional needs the bit of qubit 4 as 0 or 1, got {i4bit!r}")
+    return _quartic_coefficients(state)[i4bit]
 
 
 def t_p_invariants(state: PureState) -> tuple[complex, complex, complex]:
@@ -405,7 +449,7 @@ def aggregate_invariants(state: PureState) -> FourQubitReport:
     """Assemble the full four-qubit invariant report."""
     _require(state, 4, "aggregate_invariants")
     triples = tuple(triple_invariants(state, singled) for singled in (1, 2, 3, 4))
-    n_vals = [np.sqrt(tr.n_sq) for tr in triples]       # indexed by singled-1
+    n_vals = [math.sqrt(tr.n_sq) for tr in triples]     # indexed by singled-1
     n44_sq = 16.0 * (triples[3].n_sq + triples[2].n_sq + triples[1].n_sq)
     n1, n2, n3, n4 = n_vals
     n48 = 16.0 * (n1 * n2 + (n1 + n2) * n3 + (n1 + n2 + n3) * n4)
@@ -416,8 +460,8 @@ def aggregate_invariants(state: PureState) -> FourQubitReport:
         tau4=4.0 * _modulus(val_i4),
         triples=triples,
         pair_sums=pair_det_sums(state),
-        n44_sq=float(n44_sq),
-        n48=float(n48),
+        n44_sq=n44_sq,
+        n48=n48,
         i26=i26(state),
         i26_sym=i26_symmetric(state),
         tau48=tau48_from_i48(head.i48),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
 from .fonts import _minors, _qubit_first
-from .states import PureState
+from .states import PureState, _power
 
 GLOBAL = "global"
 
@@ -124,9 +124,9 @@ def _global_parts(state: PureState, p: int) -> tuple:
     where the result does.
     """
     _check_qubit(state.n_qubits, p)
-    scale = np.max(np.abs(state.amps))
+    scale = float(np.max(np.abs(state.amps)))
     unit = _qubit_first(state, p) / scale
-    return scale ** 2, unit, np.sqrt(np.sum(np.abs(_minors(unit)) ** 2))
+    return _power(scale, 2), unit, np.sqrt(np.sum(np.abs(_minors(unit)) ** 2))
 
 
 def negativity(state: PureState, p: int, kind=GLOBAL) -> float:

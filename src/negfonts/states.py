@@ -7,6 +7,7 @@ Reshaping the vector to shape (2,)*n therefore maps qubit k to axis k-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,6 +40,16 @@ def index_of_bits(bits: Sequence[int]) -> int:
 def bits_of_index(index: int, n: int) -> tuple[int, ...]:
     """Basis label (i1, ..., in) of an array position."""
     return tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n of a Python float as numpy's float64 computes it (libm pow, which
+    differs from x * x in the last bit of some squares), saturating to inf
+    where Python raises OverflowError and numpy warns."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
 
 
 def _amplitude_scale(amps: np.ndarray) -> np.float64:

@@ -86,6 +86,20 @@ def schmidt_negativity(state: PureState, qubit: int) -> float:
     return float(2.0 * np.sqrt(max(det.real, 0.0)))
 
 
+def numpy_dets3(amps):
+    """The pair dets, keyed by pair, and the canonical 3-way dets (g000, g001)
+    of a three-qubit state, on numpy complex128 scalars: the reference for the
+    Python-complex kernels of `negfonts.invariants`."""
+    t = amps.reshape(2, 2, 2)
+    pair_dets = {}
+    for pair, axes in {(1, 2): (0, 1, 2), (1, 3): (0, 2, 1), (2, 3): (1, 2, 0)}.items():
+        v = t.transpose(axes)
+        pair_dets[pair] = tuple(v[0, 0, b] * v[1, 1, b] - v[0, 1, b] * v[1, 0, b] for b in (0, 1))
+    g000 = t[0, 0, 0] * t[1, 1, 1] - t[1, 0, 0] * t[0, 1, 1]
+    g001 = t[0, 0, 1] * t[1, 1, 0] - t[1, 0, 1] * t[0, 1, 0]
+    return pair_dets, g000, g001
+
+
 def quartic_discriminant_resolvent(a, b, c, d, e) -> complex:
     """Discriminant of a*y^4 + b*y^3 + c*y^2 + d*y + e via the resolvent cubic."""
     bb, cc, dd, ee = b / a, c / a, d / a, e / a

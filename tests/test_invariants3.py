@@ -1,9 +1,11 @@
 """Two- and three-qubit invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from helpers import haar_u2, random_biseparable3, random_w_class3
+from helpers import haar_u2, numpy_dets3, random_biseparable3, random_w_class3
 from negfonts import (
     apply_local_unitary,
     catalog_state,
@@ -135,3 +137,48 @@ def test_i3_homogeneity():
     scaled = make_state(3, 1.7 * s.amps)
     ratio = three_way_invariant(scaled) / three_way_invariant(s)
     assert ratio == pytest.approx(1.7 ** 4, rel=1e-9)
+
+
+def _bits(value) -> tuple[str, str]:
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30, 1e-40, 1e40, 1e-100, 1e100])
+def test_three_qubit_kernels_match_numpy_reference(scale):
+    # the report's dets, moduli and squared moduli give numpy complex128's bits
+    for trial in range(40):
+        s = make_state(3, random_state(3, (1811, trial)).amps * scale)
+        pair_dets, g000, g001 = numpy_dets3(s.amps)
+        report = three_qubit_report(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            i3 = (g000 + g001) ** 2 - 4 * pair_dets[(1, 2)][0] * pair_dets[(1, 2)][1]
+            for pair, axes in (((1, 2), (0, 1, 2)), ((1, 3), (0, 2, 1)), ((2, 3), (1, 2, 0))):
+                d0, d1 = pair_dets[pair]
+                _, h000, h001 = numpy_dets3(s.tensor().transpose(axes).ravel())
+                n_sq = abs(d0) ** 2 + abs(d1) ** 2 + 2 * abs((h000 + h001) / 2) ** 2
+                assert report.n_pair_sq[pair].hex() == float(n_sq).hex()
+                assert n_pair_sq(s, pair).hex() == float(n_sq).hex()
+                assert report.w_sums[pair].hex() == float(abs(d0) + abs(d1)).hex()
+                assert list(map(_bits, report.pair_dets[pair])) == [_bits(d0), _bits(d1)]
+        assert list(map(_bits, report.d3_canonical)) == [_bits(g000), _bits(g001)]
+        assert _bits(report.i3) == _bits(i3)
+        assert report.tau3.hex() == float(4.0 * abs(i3)).hex()
+
+
+def test_modulus_of_nan_ignores_a_stale_errno():
+    # numpy's scalar power leaves errno at ERANGE when it overflows, and
+    # CPython 3.11's abs() of a complex with a NaN part then raised
+    # OverflowError: the modulus read inf, and an overflowed i3 counted as zero
+    from negfonts.invariants import _modulus
+
+    with np.errstate(over="ignore"):
+        np.float64(1e200) ** 2
+    assert math.isnan(_modulus(complex(math.nan, 1.0)))
+    assert _modulus(complex(1.5e308, 1.5e308)) == math.inf
+    s = make_state(3, random_state(3, (2020, 3, 0)).amps * 1e100)
+    report = three_qubit_report(s)
+    assert math.isnan(report.i3.real)
+    assert math.isnan(report.tau3)
+    assert report.i3_is_zero is False
+

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     haar_u2,
+    numpy_dets3,
     quartic_discriminant_resolvent,
     quartic_discriminant_roots,
     random_product4,
@@ -30,16 +31,18 @@ from negfonts import (
     j12,
     local_unitary,
     make_state,
+    n_pair_sq,
     n_triple_sq,
     normalize,
     pair_det_sums,
     random_state,
     t_p_invariants,
     tau4,
+    three_qubit_report,
     three_way_invariant,
     triple_invariants,
 )
-from negfonts.errors import WrongArity
+from negfonts.errors import NonFiniteResult, QubitOutOfRange, WrongArity
 
 
 def test_i4_values():
@@ -293,22 +296,27 @@ def test_i48_vanishes_on_products():
     assert abs(i48(catalog_state("W4"))) < 1e-15
 
 
-def _dets3_coefficients(state):
-    """(i3_0, i3_1, T, P0, P1) from every det `_dets3` forms, kept as the
-    reference for the slimmer `_quartic_coefficients`."""
-    from negfonts.invariants import _dets3, _four_way_dets
+def _np_four_way_dets(t):
+    """The four 4-way dets of t = amps as (2, 2, 2, 2), on numpy complex128 scalars."""
+    return [t[0, 0, i3, i4] * t[1, 1, 1 - i3, 1 - i4]
+            - t[1, 0, i3, i4] * t[0, 1, 1 - i3, 1 - i4]
+            for i3 in (0, 1) for i4 in (0, 1)]
 
+
+def _dets3_coefficients(state):
+    """(i3_0, i3_1, T, P0, P1) from every det `numpy_dets3` forms, on numpy
+    scalars, kept as the reference for the slimmer `_quartic_coefficients`."""
     t = state.amps.reshape(2, 2, 2, 2)
     i3, d, e, f = [], [], [], []
     for b in (0, 1):
-        pair_dets, g000, g001 = _dets3(t[..., b])
+        pair_dets, g000, g001 = numpy_dets3(t[..., b])
         d0, d1 = pair_dets[(1, 2)]
         i3.append((g000 + g001) ** 2 - 4 * d0 * d1)
         d.append(pair_dets[(1, 2)])
         e.append(g000 + g001)
-        _, h000, h001 = _dets3(t[:, :, b, :])
+        _, h000, h001 = numpy_dets3(t[:, :, b, :])
         f.append(h000 + h001)
-    d00, d01, d10, d11 = _four_way_dets(t)
+    d00, d01, d10, d11 = _np_four_way_dets(t)
     s4 = d00 + d01 + d10 + d11
     t_val = (s4 ** 2 / 6.0
              - (2.0 / 3.0) * f[0] * f[1]
@@ -324,11 +332,11 @@ def _bits(value) -> tuple[str, str]:
 
 
 def test_quartic_coefficients_match_dets3_reference():
-    from negfonts.invariants import _dets3, _move_last, _quartic_coefficients
+    from negfonts.invariants import _move_last, _quartic_coefficients
 
     haar = [random_state(4, (1801, trial)) for trial in range(60)]
     states = list(haar)
-    for scale in (1e-30, 1e30):
+    for scale in (1e-30, 1e30, 1e-40, 1e40):
         states += [make_state(4, s.amps * scale) for s in haar]
     states += [catalog_state(name, {p: 0.7 - 0.3j for p in CATALOG[name].params})
                for name in catalog_names() if CATALOG[name].n_qubits == 4]
@@ -337,19 +345,59 @@ def test_quartic_coefficients_match_dets3_reference():
             ref = _dets3_coefficients(_move_last(s, singled))
             assert list(map(_bits, _quartic_coefficients(_move_last(s, singled)))) \
                 == list(map(_bits, ref))
-            i3_0, i3_1, t, p0, p1 = (np.complex128(c) for c in ref)
-            val48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
-            n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
-                    + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
-            with np.errstate(over="ignore", invalid="ignore"):   # j12 overflows at 1e30
-                got = triple_invariants(s, singled)
+            # the numpy references overflow at 1e30 (j12, delta24) and at 1e40
+            with np.errstate(over="ignore", invalid="ignore"):
+                i3_0, i3_1, t, p0, p1 = (np.complex128(c) for c in ref)
+                val48 = 3 * t ** 2 - 4 * p0 * p1 + i3_0 * i3_1
+                val_j = (i3_1 * (t * i3_0 - p0 * p0) - p1 * (p1 * i3_0 - p0 * t)
+                         + t * (p1 * p0 - t * t))
+                n_sq = (abs(i3_0) ** 2 + abs(i3_1) ** 2 + 6 * abs(t) ** 2
+                        + 4 * abs(p0) ** 2 + 4 * abs(p1) ** 2)
+                delta = val48 ** 3 - 27 * val_j ** 2
+                dres = n_sq - 2 * abs(val48)
+            got = triple_invariants(s, singled)
             assert _bits(got.i48) == _bits(val48)
+            assert _bits(got.j12) == _bits(val_j)
+            assert _bits(got.delta24) == _bits(delta)
             assert got.n_sq.hex() == float(n_sq).hex()
-            assert got.dres.hex() == float(n_sq - 2 * abs(val48)).hex()
+            assert got.dres.hex() == float(dres).hex()
         s3 = make_state(3, s.amps[::2])
-        pair_dets, g000, g001 = _dets3(s3.amps)
+        pair_dets, g000, g001 = numpy_dets3(s3.amps)
         d0, d1 = pair_dets[(1, 2)]
         assert _bits(three_way_invariant(s3)) == _bits((g000 + g001) ** 2 - 4 * d0 * d1)
+
+
+@pytest.mark.parametrize("bit", [2, -1, None, 1.5, True, "1", np.float64(0.0)])
+def test_i3_conditional_rejects_a_bad_bit(bit):
+    with pytest.raises(QubitOutOfRange, match="bit of qubit 4"):
+        i3_conditional(random_state(4, 1), bit)
+
+
+def test_i3_conditional_takes_numpy_integer_bits():
+    s = random_state(4, 1)
+    assert i3_conditional(s, np.int64(1)) == i3_conditional(s, 1)
+    assert i3_conditional(s, np.uint8(0)) == i3_conditional(s, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e40, 1e-40, 1e100, 1e-100, 1e200, 1e-200])
+def test_invariant_kernels_emit_no_runtime_warning(scale):
+    # the kernels saturate overflows to inf and NaN without numpy's warnings
+    for trial in range(4):
+        s4 = make_state(4, random_state(4, (1813, trial)).amps * scale)
+        s3 = make_state(3, random_state(3, (1813, trial)).amps * scale)
+        aggregate_invariants(s4)
+        for singled in (1, 2, 3, 4):
+            triple_invariants(s4, singled)
+        i4(s4)
+        if scale >= 1e160:       # the global negativity is not finite there
+            with pytest.raises(NonFiniteResult):
+                three_qubit_report(s3)
+        else:
+            three_qubit_report(s3)
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            n_pair_sq(s3, pair)
+        three_way_invariant(s3)
 
 
 def test_j12_finite_when_coefficients_underflow():
