@@ -65,25 +65,12 @@ def _decide(i48_zero: bool, dres_zero: bool, delta_zero: bool,
     notes: list[str] = []
     if not i48_zero:
         # four-body correlations present: class I-IV, split by surviving fonts
-        if n3 > 0 and n2 > 0:
-            cls = "I"
-        elif n3 > 0:
-            cls = "II"
-        elif n2 > 0:
-            cls = "III"
-        else:
-            cls = "IV"
-        expected = {"I": (False, False), "II": (False, True),
-                    "III": (True, False), "IV": (True, True)}[cls]
-        if (dres_zero, delta_zero) != expected:
-            notes.append(
-                f"font counts select class {cls}; invariant pattern "
-                f"(dres_zero={dres_zero}, delta_zero={delta_zero}) differs from "
-                f"the typical (dres_zero={expected[0]}, delta_zero={expected[1]})")
-        if cls == "III":
-            notes.append("class III residual reading: dres "
-                         + ("zero" if dres_zero else "nonzero"))
-        return cls, notes
+        if n3 > 0:
+            return ("I" if n2 > 0 else "II"), notes
+        if n2 == 0:
+            return "IV", notes
+        return "III", ["class III residual reading: dres "
+                       + ("zero" if dres_zero else "nonzero")]
     if not dres_zero:
         if not delta_zero:
             return UNRESOLVED, ["no class has i48 = 0, dres != 0, delta != 0"]
@@ -123,7 +110,7 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
     counted = work
     minimized = False
     if use_font_min:
-        counted, _trace = font_minimize(work, restarts=restarts, iters=iters,
+        counted, _trace = font_minimize(state, restarts=restarts, iters=iters,
                                         seed=seed, tol=tol)
         minimized = True
     counts = font_counts(counted, p=1, tol=tol)
@@ -481,10 +468,11 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     the consistency flag and the product-term count pick the one that can be
     canonical.
 
-    The search runs on the state's direction: the input is normalized once,
-    tolerances are absolute on that unit vector, and the frame is returned
-    normalized.  Restart 0 starts at `_start_frame` of that vector, and the
-    random restarts are Euler angles applied to that frame.
+    The search runs on the state's direction: every input is normalized and
+    its `normalized` flag is not read, so `classify` and a direct call search
+    the same unit vector.  Tolerances are absolute on that vector, and the
+    frame is returned normalized.  Restart 0 starts at `_start_frame` of that
+    vector, and the random restarts are Euler angles applied to that frame.
 
     The search is anytime: all restarts end together once the best
     (count, penalty) over every frame evaluated so far, read from the
@@ -501,7 +489,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
         raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
     _check_budget(seed, restarts, iters)
     check_tolerance(tol)
-    unit = state if state.normalized else normalize(state)
+    unit = normalize(state)
     has_four_body = bool(abs(i48(unit)) > tol)
     amps = _start_frame(unit.amps, has_four_body)
 

@@ -154,7 +154,8 @@ def negative_eigenvalues(state: PureState, p: int, kind=GLOBAL) -> np.ndarray:
         eig = _kway_spectrum(state, p, kind)
         return eig[eig < 0.0]
     sq, _, root = _global_parts(state, p)
-    value = -(sq * root)
+    # a product cut has none at any scale, also where the squared scale is inf
+    value = -(sq * root) if root else 0.0
     if not np.isfinite(value):
         raise NonFiniteResult(f"negative eigenvalue of qubit {p} is not finite")
     return np.array([value] if value else [], dtype=np.float64)

@@ -168,6 +168,25 @@ def test_decision_totality():
             assert cls in classes
 
 
+def test_catalog_frame_notes():
+    # no note compares the invariant pattern (dres_zero, delta_zero) with a
+    # typical one: in these worked examples' own frames it said nothing
+    residual = ("class III residual reading: dres zero",)
+    expected = {
+        ("C1", None): residual,
+        ("C2", None): residual,
+        ("C3", None): residual,
+        ("Dicke42", None): residual,
+        ("G_abcd", (1.0, 2.0, 3.0, 5.0)): residual,
+        ("BrownPhi", None): ("i48 nonzero but no 4-way font above tolerance; "
+                             "representation is far from canonical",),
+        ("Psi_ab", (1.0, 1.0)): (),
+    }
+    for (name, values), notes in expected.items():
+        params = dict(zip("abcd", values)) if values else None
+        assert classify(normalize(catalog_state(name, params))).notes == notes, name
+
+
 def test_family_expected_matches_numeric():
     rng = np.random.default_rng(21)
     grids = {
@@ -332,6 +351,23 @@ def test_c2_search_needs_the_gauge_and_the_clifford_moves():
         sig = report.signature
         assert (report.major_class, sig.n2, sig.n3, sig.n4) == ("III", 2, 0, 2), (trial, report)
         assert not sig.i48_zero     # 4-way fonts agree with i48: penalty 0
+
+
+def test_classify_counts_the_frame_font_minimize_returns():
+    # a flagged scramble and its normalization differ in their last bits, and
+    # these searches end at different counts from the two; both entry points
+    # must search the normalization, flagged input or not
+    for name, trials in (("C2", (2, 18, 20)), ("Dicke42", (0, 1, 2))):
+        base = normalize(catalog_state(name))
+        for t in trials:
+            scrambled = scramble_special(base, (9941, 13, t))
+            for state in (scrambled, make_state(4, scrambled.amps)):
+                sig = classify(state, use_font_min=True, seed=t, restarts=16,
+                               iters=60).signature
+                frame, _trace = font_minimize(state, restarts=16, iters=60, seed=t)
+                counts = font_counts(frame, 1)
+                assert (sig.n2, sig.n3, sig.n4) == (counts[2], counts[3], counts[4]), \
+                    (name, t, state.normalized)
 
 
 def test_clifford_moves_are_the_single_qubit_clifford_group():

@@ -263,6 +263,20 @@ def test_global_negative_eigenvalue_non_finite_raises():
                 negative_eigenvalues(s, p)
 
 
+def test_a_product_cut_has_no_negative_eigenvalue_at_any_scale():
+    # s1 s2 = 0 is read before the squared scale, which overflows past ~1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1.0, 1e-200, 1e160, 1e200):
+            s = make_state(4, np.eye(16)[0] * scale)
+            for p in range(1, 5):
+                got = negative_eigenvalues(s, p)
+                assert got.shape == (0,) and got.dtype == np.float64, (scale, p)
+        # the trace norm is the squared norm, which does overflow
+        with pytest.raises(NonFiniteResult):
+            negativity(make_state(4, np.eye(16)[0] * 1e160), 1)
+
+
 def test_global_kind_runs_no_eigensolve(monkeypatch):
     def refuse(matrix):
         raise AssertionError("eigensolve on the global path")
