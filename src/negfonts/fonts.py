@@ -36,11 +36,7 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FontSpec:
-    """One K-way font: transposed qubit, flip set, row pattern, spectators.
-
-    `font_det` stores the spec's amplitude positions on it as `_positions`,
-    outside the fields, so equality and hashing do not see them.
-    """
+    """One K-way font: transposed qubit, flip set, row pattern, spectators."""
 
     p: int
     flip_set: tuple[int, ...]            # sorted, contains p
@@ -50,6 +46,14 @@ class FontSpec:
     @property
     def k(self) -> int:
         return len(self.flip_set)
+
+    @functools.cached_property
+    def _positions(self) -> tuple[int, int, int, int, int]:
+        """(n, i, j, i', j'): the number of qubits the spec names and its
+        amplitude positions.  Not a field, so equality, hashing and repr do
+        not see it; a malformed spec raises `SpecMismatch` on every use."""
+        n = len({*self.flip_set, *(q for q, _ in self.spectators)})
+        return (n, *_font_indices(n, self))
 
     @property
     def canonical(self) -> bool:
@@ -95,7 +99,6 @@ def enumerate_fonts(n: int, p: int, k: int | None = None) -> tuple[FontSpec, ...
     return tuple(specs)
 
 
-@functools.cache
 def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
     """Amplitude positions (i, j, i', j') with det = a[i] a[j] - a[i'] a[j']."""
     qubits = set(spec.flip_set) | {q for q, _ in spec.spectators}
@@ -121,20 +124,12 @@ def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
 def font_det(state: PureState, spec: FontSpec) -> complex:
     """Determinant of the font's 2x2 amplitude block.
 
-    The spec keeps its qubit count and amplitude positions after its first
-    use, so later calls neither hash it nor look it up.  A spec covers the
-    qubits of exactly one n, so a state of any other size goes back to
-    `_font_indices`, which raises.  The products are taken on Python complex
-    numbers, which round as numpy's complex128 scalars do.
+    The products are taken on Python complex numbers, which round as numpy's
+    complex128 scalars do.
     """
-    n = state.n_qubits
-    try:
-        spec_n, i, j, i_flip, j_flip = spec._positions
-    except AttributeError:                  # first use of this spec
-        spec_n = None
-    if spec_n != n:
-        i, j, i_flip, j_flip = _font_indices(n, spec)
-        object.__setattr__(spec, "_positions", (n, i, j, i_flip, j_flip))
+    n, i, j, i_flip, j_flip = spec._positions
+    if n != state.n_qubits:
+        raise SpecMismatch(f"spec {spec} covers {n} qubits, the state has {state.n_qubits}")
     a = state.amps
     return a.item(i) * a.item(j) - a.item(i_flip) * a.item(j_flip)
 

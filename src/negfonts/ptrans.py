@@ -34,19 +34,6 @@ def _check_qubit(n: int, p: int) -> None:
 
 
 @functools.cache
-def _swap_index(n: int, p: int) -> np.ndarray:
-    """Flat position each element of the global transpose over qubit p reads:
-    the element with both p-bits flipped where they differ, else itself."""
-    dim = 1 << n
-    pbit = 1 << (n - p)
-    rows, cols = np.indices((dim, dim))
-    differs = ((rows ^ cols) & pbit) != 0
-    index = np.where(differs, (rows ^ pbit) * dim + (cols ^ pbit), rows * dim + cols)
-    index.setflags(write=False)
-    return index
-
-
-@functools.cache
 def _kway_mask(n: int, p: int, k: int) -> np.ndarray:
     """Elements a K-way transpose over qubit p moves: p-bits differ, order K
     (orders 1 and 2 together for k == 2)."""
@@ -65,7 +52,10 @@ def _swapped(rho: np.ndarray, n: int, p: int) -> np.ndarray:
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise QubitOutOfRange(f"matrix shape {rho.shape} does not match n={n}")
-    return rho.reshape(-1)[_swap_index(n, p)]
+    # axes (row, col) = (before p, p, after p) x 2; swapping the two p axes
+    # swaps the p-bits where they differ and leaves the rest in place
+    a, b = 1 << (p - 1), 1 << (n - p)
+    return rho.reshape(a, 2, b, a, 2, b).swapaxes(1, 4).reshape(dim, dim)
 
 
 def global_pt(rho: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -83,12 +73,19 @@ def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
 
 
 def decomposition_residual(state: PureState, p: int) -> float:
-    """Max-norm defect of: global transpose = sum of K-way transposes - (n-2) rho."""
+    """Max-norm defect of: global transpose = sum of K-way transposes - (n-2) rho.
+
+    Raises NonFiniteResult where the density or the sum overflows.
+    """
     n = state.n_qubits
-    rho = density_from_pure(state)
-    total = sum(kway_pt(rho, p, k, n) for k in range(2, n + 1))
-    residual = global_pt(rho, p, n) - total + (n - 2) * rho
-    return float(np.max(np.abs(residual)))
+    # an overflow leaves inf or NaN in the residual, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = density_from_pure(state)
+        total = sum(kway_pt(rho, p, k, n) for k in range(2, n + 1))
+        residual = np.max(np.abs(global_pt(rho, p, n) - total + (n - 2) * rho))
+    if not np.isfinite(residual):
+        raise NonFiniteResult(f"decomposition residual of qubit {p} is not finite")
+    return float(residual)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -139,7 +136,10 @@ def negativity(state: PureState, p: int, kind=GLOBAL) -> float:
         sq, unit, root = _global_parts(state, p)
         value = sq * (np.vdot(unit, unit).real + 2.0 * root) - 1.0
     else:
-        value = np.sum(np.abs(_kway_spectrum(state, p, kind))) - 1.0
+        # an overflowing density holds inf or NaN, which the eigensolve rejects,
+        # and a trace norm past the float range sums to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.sum(np.abs(_kway_spectrum(state, p, kind))) - 1.0
     if not np.isfinite(value):
         raise NonFiniteResult(f"negativity of qubit {p} is not finite")
     return float(value)
@@ -151,7 +151,8 @@ def negative_eigenvalues(state: PureState, p: int, kind=GLOBAL) -> np.ndarray:
     The global kind has the one eigenvalue -s1 s2, or none where s1 s2 = 0.
     """
     if kind != GLOBAL:
-        eig = _kway_spectrum(state, p, kind)
+        with np.errstate(over="ignore", invalid="ignore"):    # see negativity
+            eig = _kway_spectrum(state, p, kind)
         return eig[eig < 0.0]
     sq, _, root = _global_parts(state, p)
     # a product cut has none at any scale, also where the squared scale is inf

@@ -328,3 +328,27 @@ def test_spec_of_another_size_raises_on_every_call():
             font_det(state, spec)
     assert spec == FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0)))
     assert hash(spec) == hash(FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cached_positions_equal_the_builder(n):
+    for p in range(1, n + 1):
+        for spec in enumerate_fonts(n, p):
+            assert spec._positions == (n, *_font_indices(n, spec))
+
+
+def test_cached_positions_stay_out_of_eq_hash_and_repr():
+    fresh = FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0)))
+    used = FontSpec(1, (1, 2), (0,), ((3, 1), (4, 0)))
+    font_det(random_state(4, 7), used)
+    assert "_positions" in vars(used) and "_positions" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_a_spec_that_misses_one_of_its_qubits_raises_on_every_call():
+    # it names three qubits, 1, 2 and 4, so it fits no state, not even n = 3
+    gap = FontSpec(1, (1, 2), (0,), ((4, 0),))
+    for state in (random_state(3, 9), random_state(4, 9), random_state(3, 9)):
+        with pytest.raises(SpecMismatch):
+            font_det(state, gap)

@@ -306,3 +306,87 @@ def test_numpy_integer_kinds_equal_python_ints():
             assert negativity(s, 2, kind) == negativity(s, 2, k)
             np.testing.assert_array_equal(negative_eigenvalues(s, 2, kind),
                                           negative_eigenvalues(s, 2, k))
+
+
+def _swap_table(n: int, p: int) -> np.ndarray:
+    """Reference transpose over qubit p: the flat position each element reads,
+    the element with both p-bits flipped where they differ, else itself."""
+    dim = 1 << n
+    pbit = 1 << (n - p)
+    rows, cols = np.indices((dim, dim))
+    differs = ((rows ^ cols) & pbit) != 0
+    return np.where(differs, (rows ^ pbit) * dim + (cols ^ pbit), rows * dim + cols)
+
+
+def _layouts(n: int, seed):
+    """A density in C order, its Fortran-ordered copy and a strided view."""
+    rho = density_from_pure(random_state(n, seed))
+    padded = np.zeros((2 << n, 2 << n), dtype=complex)
+    padded[::2, ::2] = rho
+    yield rho
+    yield np.asfortranarray(rho)
+    yield padded[::2, ::2]
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_axis_swap_transposes_equal_the_index_table(n):
+    for rho in _layouts(n, (1451, n)):
+        for p in range(1, n + 1):
+            reference = rho.reshape(-1)[_swap_table(n, p)]
+            assert _same_bits(global_pt(rho, p, n), reference), (n, p)
+            for k in range(2, n + 1):
+                want = np.where(ptrans_module._kway_mask(n, p, k), reference, rho)
+                assert _same_bits(kway_pt(rho, p, k, n), want), (n, p, k)
+
+
+def test_transposes_check_the_shape():
+    rho = density_from_pure(random_state(3, 1453))
+    for bad, n in ((rho[:4, :4], 3), (rho.reshape(4, 16), 3), (rho, 4)):
+        with pytest.raises(QubitOutOfRange):
+            global_pt(bad, 1, n)
+        with pytest.raises(QubitOutOfRange):
+            kway_pt(bad, 1, 2, n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_kway_overflow_raises_without_warnings(n, scale):
+    # the density |psi><psi| overflows at these scales
+    s = make_state(n, random_state(n, (1459, n)).amps * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in range(1, n + 1):
+            for k in range(2, n + 1):
+                with pytest.raises(NonFiniteResult):
+                    negativity(s, p, k)
+                with pytest.raises(NonFiniteResult):
+                    negative_eigenvalues(s, p, k)
+
+
+def test_kway_trace_norm_overflow_raises_without_warnings():
+    # the density is finite, its trace norm is not
+    s = make_state(5, random_state(5, (1459, 5)).amps * 1e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in range(1, 6):
+            for k in range(2, 6):
+                with pytest.raises(NonFiniteResult):
+                    negativity(s, p, k)
+                assert np.all(np.isfinite(negative_eigenvalues(s, p, k)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_decomposition_residual_overflow_raises_without_warnings(n):
+    unit = random_state(n, (1471, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e160, 1e200):
+            s = make_state(n, unit.amps * scale)
+            for p in range(1, n + 1):
+                with pytest.raises(NonFiniteResult):
+                    decomposition_residual(s, p)
+
