@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
                      UnknownFamily, WrongArity, check_tolerance)
-from .fonts import DEFAULT_TOL, _det_moduli, _det_orders, _qubit_first, font_counts
+from .fonts import DEFAULT_TOL, _det_moduli, _det_orders, _font_minors, font_counts
 from .invariants import (_quartic_coefficients, _quartic_invariants, aggregate_invariants, i4,
                          i48, triple_invariants)
 from .powell import minimize
@@ -56,7 +56,7 @@ class ClassReport:
 
 def _cut_entangled(unit: PureState, p: int, tol: float) -> bool:
     """Qubit p is entangled with the rest iff some font for p has nonzero det."""
-    return bool(np.any(_det_moduli(_qubit_first(unit, p)) > tol))
+    return bool(np.any(np.abs(_font_minors(unit, p)) > tol))
 
 
 def _decide(i48_zero: bool, dres_zero: bool, delta_zero: bool,

@@ -16,7 +16,8 @@ Seen as a 2 x 2^(n-1) matrix (rows: the bit of p, columns: the other qubits
 in order), the amplitudes have one 2x2 minor per column pair c1 < c2, and the
 canonical fonts of qubit p are exactly these minors: the font's two labels sit
 in columns c1 and c2, and its order K is popcount(c1 ^ c2) + 1.  `_minors`
-evaluates all of them in one gather, in `triu` column-pair order; the font
+evaluates all of them in one gather, in `triu` column-pair order, and
+`_font_minors` gathers qubit p's straight from the amplitudes; the font
 counts, the global negativity and the classifier read them from there.
 """
 
@@ -155,7 +156,7 @@ def _minors(amps: np.ndarray) -> np.ndarray:
 
     (..., 2^n) -> (..., C(2^(n-1), 2)): the vector is read as a 2 x 2^(n-1)
     matrix whose rows are its leading bit, so the minors are the canonical
-    fonts of the qubit in front (see `_qubit_first`), in `triu` pair order.
+    fonts of the qubit in front, in `triu` pair order.
     """
     f = amps[..., _column_pairs(amps.shape[-1] // 2)[0]]
     return f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
@@ -171,9 +172,23 @@ def _det_orders(n: int) -> np.ndarray:
     return _column_pairs(1 << (n - 1))[1]
 
 
-def _qubit_first(state: PureState, p: int) -> np.ndarray:
-    """The amplitudes with qubit p moved to the leading bit."""
-    return np.moveaxis(state.tensor(), p - 1, 0).reshape(-1)
+@functools.cache
+def _qubit_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, factors): the positions in the flat n-qubit amplitudes of the
+    vector with qubit p moved to the leading bit, the others keeping their
+    order, and of the factors that `_minors` reads from that vector."""
+    order = np.moveaxis(np.arange(1 << n).reshape((2,) * n), p - 1, 0).reshape(-1)
+    factors = order[_column_pairs(1 << (n - 1))[0]]
+    order.setflags(write=False)
+    factors.setflags(write=False)
+    return order, factors
+
+
+def _font_minors(state: PureState, p: int) -> np.ndarray:
+    """`_minors` of the amplitudes with qubit p in front, in one gather: the
+    canonical font dets of qubit p."""
+    f = state.amps[_qubit_tables(state.n_qubits, p)[1]]
+    return f[0] * f[1] - f[2] * f[3]
 
 
 def _require_four(state: PureState, op: str) -> None:
@@ -219,7 +234,7 @@ def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_T
     if not state.normalized:
         state = PureState(n, state.amps / _amplitude_scale(state.amps))
     threshold = tol * state.norm ** 2
-    moduli = _det_moduli(_qubit_first(state, p))
+    moduli = np.abs(_font_minors(state, p))
     return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
 
 

@@ -10,7 +10,6 @@ three-qubit slices with qubit 3 or qubit 4 fixed plus the four 4-way dets.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -348,16 +347,6 @@ def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:
     return TripleInvariants(singled=singled, **_quartic_invariants(*coeffs))
 
 
-def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
-    """Sum of |det| over the four 2-way fonts of one pair (both spectators swept)."""
-    _require(state, 4, "pair_det_sum")
-    total = 0.0
-    for spec in _pair_fonts(*sorted(pair)):
-        total += _modulus(font_det(state, spec))
-    return float(total)
-
-
-@functools.cache
 def _pair_fonts(p: int, q: int) -> tuple:
     """The four 2-way fonts of the pair p < q, spectator bits 00, 01, 10, 11."""
     r, s = (x for x in (1, 2, 3, 4) if x not in (p, q))
@@ -365,13 +354,34 @@ def _pair_fonts(p: int, q: int) -> tuple:
                  for br in (0, 1) for bs in (0, 1))
 
 
+# the fonts of each pair, under the pair in either order
+_PAIR_FONTS = {key: _pair_fonts(*pair) for pair in PAIRS4 for key in (pair, pair[::-1])}
+
+
+def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
+    """Sum of |det| over the four 2-way fonts of one pair (both spectators swept)."""
+    _require(state, 4, "pair_det_sum")
+    try:
+        specs = _PAIR_FONTS[tuple(pair)]
+    except (KeyError, TypeError):
+        raise QubitOutOfRange(
+            f"pair_det_sum needs two distinct qubits of 1..4, got {pair!r}") from None
+    total = 0.0
+    for spec in specs:
+        total += _modulus(font_det(state, spec))
+    return float(total)
+
+
 def pair_det_sums(state: PureState) -> dict[tuple[int, int], float]:
     return {pair: pair_det_sum(state, pair) for pair in PAIRS4}
 
 
-def _i2_triple(sums, p: int, q: int, r: int) -> float:
-    """W-type detector of the triple (p,q,r): 3 * I(p,q) * I(p,r)."""
-    return 3.0 * sums[tuple(sorted((p, q)))] * sums[tuple(sorted((p, r)))]
+# i26_symmetric's four terms, one per singled-out qubit 1..4: the three pairs
+# of the other qubits, then the three pairs through the singled-out one
+_SYMMETRIC_TERMS = ((((2, 3), (2, 4), (3, 4)), ((1, 2), (1, 3), (1, 4))),
+                    (((1, 3), (1, 4), (3, 4)), ((1, 2), (2, 3), (2, 4))),
+                    (((1, 2), (1, 4), (2, 4)), ((1, 3), (2, 3), (3, 4))),
+                    (((1, 2), (1, 3), (2, 3)), ((1, 4), (2, 4), (3, 4))))
 
 
 def i26(state: PureState) -> float:
@@ -382,9 +392,9 @@ def i26(state: PureState) -> float:
     """
     _require(state, 4, "i26")
     s = pair_det_sums(state)
-    return float(1.5 * (_i2_triple(s, 1, 2, 3) * (s[(1, 4)] + s[(2, 4)] + s[(3, 4)])
-                        + _i2_triple(s, 1, 2, 4) * (s[(2, 3)] + s[(3, 4)])
-                        + _i2_triple(s, 1, 3, 4) * s[(2, 4)]))
+    return float(1.5 * (3.0 * s[(1, 2)] * s[(1, 3)] * (s[(1, 4)] + s[(2, 4)] + s[(3, 4)])
+                        + 3.0 * s[(1, 2)] * s[(1, 4)] * (s[(2, 3)] + s[(3, 4)])
+                        + 3.0 * s[(1, 3)] * s[(1, 4)] * s[(2, 4)]))
 
 
 def i26_symmetric(state: PureState) -> float:
@@ -392,12 +402,9 @@ def i26_symmetric(state: PureState) -> float:
     _require(state, 4, "i26_symmetric")
     s = pair_det_sums(state)
     total = 0.0
-    for singled in (1, 2, 3, 4):
-        triple = [q for q in (1, 2, 3, 4) if q != singled]
-        pairs = list(combinations(triple, 2))
-        w = sum(s[pairs[i]] * s[pairs[j]] for i in range(3) for j in range(i + 1, 3))
-        through = sum(s[tuple(sorted((singled, q)))] for q in triple)
-        total += w * through
+    for (ab, ac, bc), (ta, tb, tc) in _SYMMETRIC_TERMS:
+        a, b, c = s[ab], s[ac], s[bc]
+        total += (a * b + a * c + b * c) * (s[ta] + s[tb] + s[tc])
     return float(0.75 * total)
 
 

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
-from .fonts import _minors, _qubit_first
+from .fonts import _minors, _qubit_tables
 from .states import PureState, _power
 
 GLOBAL = "global"
@@ -47,20 +47,21 @@ def _kway_mask(n: int, p: int, k: int) -> np.ndarray:
     return mask
 
 
-def _swapped(rho: np.ndarray, n: int, p: int) -> np.ndarray:
+def _axes(rho: np.ndarray, n: int, p: int) -> np.ndarray:
+    """rho viewed with axes (row, col) = (before p, p, after p) x 2."""
     _check_qubit(n, p)
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise QubitOutOfRange(f"matrix shape {rho.shape} does not match n={n}")
-    # axes (row, col) = (before p, p, after p) x 2; swapping the two p axes
-    # swaps the p-bits where they differ and leaves the rest in place
     a, b = 1 << (p - 1), 1 << (n - p)
-    return rho.reshape(a, 2, b, a, 2, b).swapaxes(1, 4).reshape(dim, dim)
+    return rho.reshape(a, 2, b, a, 2, b)
 
 
 def global_pt(rho: np.ndarray, p: int, n: int) -> np.ndarray:
     """Partial transpose over qubit p: swap the p-bits of row and column labels."""
-    return _swapped(rho, n, p)
+    # swapping the two p axes swaps the p-bits where they differ and leaves
+    # the rest in place
+    return _axes(rho, n, p).swapaxes(1, 4).reshape(rho.shape)
 
 
 def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
@@ -68,8 +69,9 @@ def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
     (orders 1 and 2 for k == 2); everything else is copied."""
     if not 2 <= k <= n:
         raise BadK(f"K must be in 2..{n}, got {k}")
-    swapped = _swapped(rho, n, p)           # checks p first
-    return np.where(_kway_mask(n, p, k), swapped, rho)
+    view = _axes(rho, n, p)                 # checks p first
+    mask = _kway_mask(n, p, k).reshape(view.shape)
+    return np.where(mask, view.swapaxes(1, 4), view).reshape(rho.shape)
 
 
 def decomposition_residual(state: PureState, p: int) -> float:
@@ -122,7 +124,7 @@ def _global_parts(state: PureState, p: int) -> tuple:
     """
     _check_qubit(state.n_qubits, p)
     scale = float(np.max(np.abs(state.amps)))
-    unit = _qubit_first(state, p) / scale
+    unit = state.amps[_qubit_tables(state.n_qubits, p)[0]] / scale
     return _power(scale, 2), unit, np.sqrt(np.sum(np.abs(_minors(unit)) ** 2))
 
 

@@ -5,7 +5,9 @@ below, and raise the same error types.  The digest covers the `float.hex` of
 every field (real and imaginary parts apart) of:
 
 - `triple_invariants` (singled 1..4), `aggregate_invariants`, `i4`,
-  `i3_conditional` (bits 0 and 1) and `t_p_invariants` of each four-qubit state;
+  `i3_conditional` (bits 0 and 1), `t_p_invariants`, `pair_det_sum` (all 12
+  ordered pairs), `font_counts` (qubits 1..4) and `classify(...).signature`
+  (no search) of each four-qubit state;
 - `three_qubit_report`, `n_pair_sq` (every pair) and `three_way_invariant` of
   each three-qubit state;
 - `family_expected` at fixed grid points of the sweep families.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -34,11 +36,14 @@ from negfonts import (
     aggregate_invariants,
     catalog_names,
     catalog_state,
+    classify,
     family_expected,
+    font_counts,
     i3_conditional,
     i4,
     make_state,
     n_pair_sq,
+    pair_det_sum,
     random_state,
     t_p_invariants,
     three_qubit_report,
@@ -82,6 +87,10 @@ def _calls(state):
         yield "i4", lambda: i4(state)
         yield from ((f"i3_{b}", lambda b=b: i3_conditional(state, b)) for b in (0, 1))
         yield "t_p", lambda: t_p_invariants(state)
+        yield from ((f"pair{pair}", lambda pair=pair: pair_det_sum(state, pair))
+                    for pair in permutations((1, 2, 3, 4), 2))
+        yield from ((f"counts{p}", lambda p=p: font_counts(state, p)) for p in (1, 2, 3, 4))
+        yield "class", lambda: classify(state).signature
     elif state.n_qubits == 3:
         yield "report3", lambda: three_qubit_report(state)
         yield from ((f"n{pair}", lambda pair=pair: n_pair_sq(state, pair))

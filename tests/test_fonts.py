@@ -7,6 +7,7 @@ from helpers import haar_u2, scramble_special
 from negfonts import (
     CATALOG,
     FontSpec,
+    PureState,
     all_font_dets,
     apply_local_unitary,
     catalog_names,
@@ -26,7 +27,9 @@ from negfonts import (
     random_state,
 )
 from negfonts.errors import QubitOutOfRange, SpecMismatch, WrongArity
-from negfonts.fonts import _det_orders, _font_indices, _minors, _qubit_first
+from negfonts.fonts import _det_orders, _font_indices, _font_minors, _minors
+from negfonts.ptrans import _global_parts
+from negfonts.states import _amplitude_scale, _power
 
 SQ3 = np.sqrt(3.0)
 
@@ -225,11 +228,52 @@ def test_minor_kernel_matches_font_det(n):
             assert sorted(positions) == list(range(len(pairs)))
             np.testing.assert_array_equal(_det_orders(n)[positions],
                                           [spec.k for spec in specs])
-            minors = _minors(_qubit_first(state, p))[positions]
+            minors = _font_minors(state, p)[positions]
             for spec, minor in zip(specs, minors):
                 i, j, i_flip, j_flip = [int(x) for x in _font_indices(n, spec)]
                 bound = 4 * eps * (a[i] * a[j] + a[i_flip] * a[j_flip])
                 assert abs(minor - font_det(state, spec)) <= bound
+
+
+def _qubit_first(state, p: int) -> np.ndarray:
+    """Reference layout: the amplitudes with qubit p moved to the leading bit."""
+    return np.moveaxis(state.tensor(), p - 1, 0).reshape(-1)
+
+
+def _layout_states(n: int, seed: int):
+    """`_kernel_states`, the catalog states of n qubits, and strided views."""
+    states = list(_kernel_states(n, seed))
+    states += [catalog_state(name, {q: 0.7 - 0.3j for q in CATALOG[name].params})
+               for name in catalog_names() if CATALOG[name].n_qubits == n]
+    padded = np.zeros(2 << n, dtype=complex)
+    padded[::2] = states[0].amps
+    views = [PureState(n, padded[::2]), PureState(n, states[1].amps[::-1]),
+             PureState(n, (padded * 1e150)[::2])]
+    assert not any(view.amps.flags.c_contiguous for view in views)
+    return states + views
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_qubit_tables_gather_the_moveaxis_layout(n):
+    # the cached tables read qubit p's minors, and its qubit-first vector,
+    # straight from the amplitudes: bit for bit the moveaxis copy's
+    for state in _layout_states(n, 1423):
+        work = state if state.normalized else PureState(
+            n, state.amps / _amplitude_scale(state.amps))
+        threshold = 1e-9 * work.norm ** 2
+        scale = float(np.max(np.abs(state.amps)))
+        for p in range(1, n + 1):
+            minors = _minors(_qubit_first(state, p))
+            assert _font_minors(state, p).tobytes() == minors.tobytes(), (n, p)
+            moduli = np.abs(_minors(_qubit_first(work, p)))
+            for k in range(2, n + 1):
+                want = int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
+                assert count_nonzero_fonts(state, p, k) == want, (n, p, k)
+            unit = _qubit_first(state, p) / scale
+            sq, got_unit, root = _global_parts(state, p)
+            assert sq == _power(scale, 2)
+            assert got_unit.tobytes() == unit.tobytes(), (n, p)
+            assert root == np.sqrt(np.sum(np.abs(_minors(unit)) ** 2)), (n, p)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

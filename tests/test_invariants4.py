@@ -3,7 +3,7 @@ degree 8/12/24 invariants, aggregate report."""
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from negfonts import (
     n_pair_sq,
     n_triple_sq,
     normalize,
+    pair_det_sum,
     pair_det_sums,
     random_state,
     t_p_invariants,
@@ -267,6 +268,55 @@ def test_pair_sums_invariance_on_w_type_states():
             assert i26(rotated) == pytest.approx(i26(base), abs=1e-9)
             assert i26_symmetric(rotated) == pytest.approx(
                 i26_symmetric(base), abs=1e-9)
+
+
+def _i26_loops(s) -> float:
+    """i26 from the pair sums s, in its earlier form: sorted keys per call."""
+    def i2_triple(p, q, r):
+        return 3.0 * s[tuple(sorted((p, q)))] * s[tuple(sorted((p, r)))]
+    return float(1.5 * (i2_triple(1, 2, 3) * (s[(1, 4)] + s[(2, 4)] + s[(3, 4)])
+                        + i2_triple(1, 2, 4) * (s[(2, 3)] + s[(3, 4)])
+                        + i2_triple(1, 3, 4) * s[(2, 4)]))
+
+
+def _i26_symmetric_loops(s) -> float:
+    """i26_symmetric from the pair sums s, in its earlier form: the pair
+    lists rebuilt with `combinations` and `sorted` per call."""
+    total = 0.0
+    for singled in (1, 2, 3, 4):
+        triple = [q for q in (1, 2, 3, 4) if q != singled]
+        pairs = list(combinations(triple, 2))
+        w = sum(s[pairs[i]] * s[pairs[j]] for i in range(3) for j in range(i + 1, 3))
+        through = sum(s[tuple(sorted((singled, q)))] for q in triple)
+        total += w * through
+    return float(0.75 * total)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e60, 1e-60])
+def test_w_detectors_equal_their_loop_form_bit_for_bit(scale):
+    states = [random_state(4, (1821, trial)) for trial in range(40)]
+    states += [catalog_state(name, {p: 0.7 - 0.3j for p in CATALOG[name].params})
+               for name in catalog_names() if CATALOG[name].n_qubits == 4]
+    for base in states:
+        s = make_state(4, base.amps * scale)
+        sums = pair_det_sums(s)
+        assert i26(s).hex() == _i26_loops(sums).hex()
+        assert i26_symmetric(s).hex() == _i26_symmetric_loops(sums).hex()
+
+
+def test_pair_det_sum_takes_a_pair_in_either_order():
+    s = random_state(4, 1823)
+    for p, q in combinations((1, 2, 3, 4), 2):
+        want = pair_det_sum(s, (p, q))
+        assert pair_det_sum(s, (q, p)) == want
+        assert pair_det_sum(s, [q, p]) == want
+        assert pair_det_sum(s, (np.int64(p), np.int64(q))) == want
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (0, 5), (1, 5), (1, 2, 3), (1,), 5, None])
+def test_pair_det_sum_rejects_a_bad_pair(pair):
+    with pytest.raises(QubitOutOfRange, match=r"pair_det_sum needs two distinct qubits"):
+        pair_det_sum(random_state(4, 1823), pair)
 
 
 def test_homogeneity_degrees():
