@@ -26,7 +26,6 @@ from .invariants import (_quartic_coefficients, _quartic_invariants, aggregate_i
 from .powell import minimize
 from .states import PureState, normalize
 
-MAJOR_CLASSES = ("I", "II", "III", "IV", "V", "VI", "VII")
 UNENTANGLED = "unentangled"
 UNRESOLVED = "unresolved"
 
@@ -468,11 +467,11 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     the consistency flag and the product-term count pick the one that can be
     canonical.
 
-    The search runs on the state's direction: every input is normalized and
-    its `normalized` flag is not read, so `classify` and a direct call search
-    the same unit vector.  Tolerances are absolute on that vector, and the
-    frame is returned normalized.  Restart 0 starts at `_start_frame` of that
-    vector, and the random restarts are Euler angles applied to that frame.
+    The search runs on the state's direction: every input, unit or not, is
+    normalized, so `classify` and a direct call search the same unit vector.
+    Tolerances are absolute on that vector, and the frame is returned
+    normalized.  Restart 0 starts at `_start_frame` of that vector, and the
+    random restarts are Euler angles applied to that frame.
 
     The search is anytime: all restarts end together once the best
     (count, penalty) over every frame evaluated so far, read from the
@@ -525,7 +524,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
 
     final = np.array(best_vec)
     final.setflags(write=False)
-    minimized = PureState(4, final, normalized=True)
+    minimized = PureState(4, final)
     drift = np.max(np.abs(_invariant_fingerprint(minimized)
                           - _invariant_fingerprint(unit)))
     if drift > 1e-8:

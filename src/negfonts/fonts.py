@@ -224,16 +224,19 @@ def d4(state: PureState, i3: int, i4: int) -> complex:
 def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_TOL) -> int:
     """Canonical order-K fonts whose |det| exceeds tol * ||amps||^2.
 
-    Unless the state is already normalized, the test runs on the amplitudes
-    divided by `_amplitude_scale`, so dets neither overflow nor underflow at
-    any finite scale.
+    The count depends on the state's direction only.  The amplitudes are read
+    as given where 1e-100 < norm < 1e100, so that the dets neither overflow
+    nor underflow, and a positive threshold stays above 1e-300; elsewhere the
+    test runs on the amplitudes divided by `_amplitude_scale`.
     """
     check_tolerance(tol)
     n = state.n_qubits
     enumerate_fonts(n, p, k)                # cached; checks p and k
-    if not state.normalized:
+    norm = state.norm
+    if not 1e-100 < norm < 1e100 or (tol and tol * norm ** 2 < 1e-300):
         state = PureState(n, state.amps / _amplitude_scale(state.amps))
-    threshold = tol * state.norm ** 2
+        norm = state.norm
+    threshold = tol * norm ** 2
     moduli = np.abs(_font_minors(state, p))
     return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
 

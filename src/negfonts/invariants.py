@@ -110,13 +110,6 @@ def _canonical_dets(u) -> tuple[complex, complex]:
     return u[0] * u[7] - u[4] * u[3], u[1] * u[6] - u[5] * u[2]
 
 
-def _dets3(u):
-    """Pair dets (spectator bit 0/1 for each pair) and the two canonical 3-way
-    dets of the flat three-qubit amplitudes u."""
-    pair_dets = {pair: _pair_dets(view(u)) for pair, view in _SPECTATOR_LAST.items()}
-    return (pair_dets, *_canonical_dets(u))
-
-
 def _canonical_sum(u) -> complex:
     """g000 + g001 of the flat three-qubit amplitudes u."""
     g000, g001 = _canonical_dets(u)
@@ -156,8 +149,12 @@ def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
     view = _SPECTATOR_LAST.get(tuple(sorted(pair)))
     if view is None:
         raise QubitOutOfRange(f"n_pair_sq needs two distinct qubits of 1..3, got {pair}")
-    (d0, d1), g = _three_way_terms(view(state.amps.tolist()))
-    return (_power(_modulus(d0), 2) + _power(_modulus(d1), 2)
+    return _pair_sq(*_three_way_terms(view(state.amps.tolist())))
+
+
+def _pair_sq(d, g) -> float:
+    """|D0|^2 + |D1|^2 + 2*|g/2|^2 from `_three_way_terms` of a spectator-last view."""
+    return (_power(_modulus(d[0]), 2) + _power(_modulus(d[1]), 2)
             + 2 * _power(_modulus(_over(g, 2)), 2))
 
 
@@ -179,16 +176,16 @@ class ThreeQubitReport:
 def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubitReport:
     _require(state, 3, "three_qubit_report")
     check_tolerance(tol)
-    pair_dets, g000, g001 = _dets3(state.amps.tolist())
-    i3 = _three_way(pair_dets[(1, 2)], g000 + g001)
-    w_sums = {pair: _modulus(d[0]) + _modulus(d[1]) for pair, d in pair_dets.items()}
+    u = state.amps.tolist()
+    terms = {pair: _three_way_terms(view(u)) for pair, view in _SPECTATOR_LAST.items()}
+    i3 = _three_way(*terms[(1, 2)])
+    w_sums = {pair: _modulus(d[0]) + _modulus(d[1]) for pair, (d, _) in terms.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
-    pair_sq = {pair: n_pair_sq(state, pair) for pair in pair_dets}
     n_g = negativity(state, 1)
     return ThreeQubitReport(
-        pair_dets=pair_dets,
-        d3_canonical=(g000, g001),
-        n_pair_sq=pair_sq,
+        pair_dets={pair: d for pair, (d, _) in terms.items()},
+        d3_canonical=_canonical_dets(u),
+        n_pair_sq={pair: _pair_sq(*t) for pair, t in terms.items()},
         n_global_sq=_power(n_g, 2),
         i3=i3,
         tau3=4.0 * _modulus(i3),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
 from .fonts import _minors, _qubit_tables
-from .states import PureState, _power
+from .states import PureState, _amplitude_scale, _power
 
 GLOBAL = "global"
 
@@ -114,7 +114,8 @@ def _kway_spectrum(state: PureState, p: int, k) -> np.ndarray:
 
 
 def _global_parts(state: PureState, p: int) -> tuple:
-    """(m^2, u, s1 s2 / m^2) for u = psi / m with qubit p first, m = max |psi_i|.
+    """(m^2, u, s1 s2 / m^2) for u = psi / m with qubit p first, m the
+    `_amplitude_scale` of psi.
 
     The global transpose of |psi><psi| over p has the eigenvalues s1^2, s2^2
     and +-s1 s2 for the Schmidt coefficients s1, s2 of the cut p | rest, and
@@ -123,7 +124,7 @@ def _global_parts(state: PureState, p: int) -> tuple:
     where the result does.
     """
     _check_qubit(state.n_qubits, p)
-    scale = float(np.max(np.abs(state.amps)))
+    scale = float(_amplitude_scale(state.amps))
     unit = state.amps[_qubit_tables(state.n_qubits, p)[0]] / scale
     return _power(scale, 2), unit, np.sqrt(np.sum(np.abs(_minors(unit)) ** 2))
 

@@ -56,7 +56,7 @@ def _amplitude_scale(amps: np.ndarray) -> np.float64:
     """Largest modulus of the amplitudes, or, where that modulus overflows,
     their largest real or imaginary part: finite for any finite amplitudes."""
     scale = np.max(np.abs(amps))
-    if np.isinf(scale):
+    if scale == math.inf:                   # a float compare, cheaper than np.isinf
         scale = max(np.max(np.abs(amps.real)), np.max(np.abs(amps.imag)))
     return scale
 
@@ -67,7 +67,6 @@ class PureState:
 
     n_qubits: int
     amps: np.ndarray
-    normalized: bool = False
 
     @property
     def dim(self) -> int:
@@ -120,7 +119,7 @@ def make_state(n: int, amps: Iterable[complex]) -> PureState:
     if np.max(np.abs(vec)) < _ZERO_FLOOR:
         raise ZeroVector("all amplitudes vanish")
     vec.setflags(write=False)
-    return PureState(n_qubits=n, amps=vec, normalized=False)
+    return PureState(n_qubits=n, amps=vec)
 
 
 def normalize(state: PureState) -> PureState:
@@ -135,7 +134,7 @@ def normalize(state: PureState) -> PureState:
     vec = state.amps / scale
     vec /= np.linalg.norm(vec)
     vec.setflags(write=False)
-    return PureState(state.n_qubits, vec, normalized=True)
+    return PureState(state.n_qubits, vec)
 
 
 def _check_unitary(m: np.ndarray, special: bool = False) -> None:
@@ -178,7 +177,7 @@ def apply_local_unitary(state: PureState, u: LocalUnitary) -> PureState:
     psi = state.amps.reshape(lead, 2, -1).swapaxes(0, 1).reshape(2, -1)
     vec = np.dot(u.matrix, psi).reshape(2, lead, -1).swapaxes(0, 1).reshape(-1)
     vec.setflags(write=False)
-    return PureState(n, vec, normalized=state.normalized)
+    return PureState(n, vec)
 
 
 def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
@@ -191,7 +190,7 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     axes = [perm.index(j) for j in range(1, n + 1)]
     vec = np.ascontiguousarray(state.tensor().transpose(axes)).reshape(-1)
     vec.setflags(write=False)
-    return PureState(n, vec, normalized=state.normalized)
+    return PureState(n, vec)
 
 
 def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:

@@ -254,7 +254,7 @@ def test_font_minimize_scale_free():
     for idx, name in enumerate(("GHZ4", "W4", "C1")):
         base = make_state(4, scramble_special(normalize(catalog_state(name)), (5323, idx)).amps)
         ref, ref_trace = font_minimize(base, restarts=4, iters=60, seed=1)
-        assert ref.normalized
+        assert ref.norm == pytest.approx(1.0, abs=1e-12)
         for k in (-900, -100, 100, 900):
             got, trace = font_minimize(make_state(4, base.amps * 2.0 ** k),
                                        restarts=4, iters=60, seed=1)
@@ -354,20 +354,18 @@ def test_c2_search_needs_the_gauge_and_the_clifford_moves():
 
 
 def test_classify_counts_the_frame_font_minimize_returns():
-    # a flagged scramble and its normalization differ in their last bits, and
-    # these searches end at different counts from the two; both entry points
-    # must search the normalization, flagged input or not
+    # a scramble and its normalization differ in their last bits, and these
+    # searches end at different counts from the two; both entry points must
+    # search the normalization
     for name, trials in (("C2", (2, 18, 20)), ("Dicke42", (0, 1, 2))):
         base = normalize(catalog_state(name))
         for t in trials:
-            scrambled = scramble_special(base, (9941, 13, t))
-            for state in (scrambled, make_state(4, scrambled.amps)):
-                sig = classify(state, use_font_min=True, seed=t, restarts=16,
-                               iters=60).signature
-                frame, _trace = font_minimize(state, restarts=16, iters=60, seed=t)
-                counts = font_counts(frame, 1)
-                assert (sig.n2, sig.n3, sig.n4) == (counts[2], counts[3], counts[4]), \
-                    (name, t, state.normalized)
+            state = scramble_special(base, (9941, 13, t))
+            sig = classify(state, use_font_min=True, seed=t, restarts=16,
+                           iters=60).signature
+            frame, _trace = font_minimize(state, restarts=16, iters=60, seed=t)
+            counts = font_counts(frame, 1)
+            assert (sig.n2, sig.n3, sig.n4) == (counts[2], counts[3], counts[4]), (name, t)
 
 
 def test_clifford_moves_are_the_single_qubit_clifford_group():

@@ -1,5 +1,8 @@
 """Font enumeration, determinants, named accessors, counts."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,21 @@ def test_counts_scale_invariant():
     s = random_state(4, 77)
     scaled = make_state(4, 7.3 * s.amps)
     assert font_counts(s, 1) == font_counts(scaled, 1)
+    # a state copied from a unit vector with its amplitudes replaced carries no
+    # promise of unit norm: its scale is read from the amplitudes
+    ghz = normalize(catalog_state("GHZ4"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e-200, 1e200):
+            replaced = dataclasses.replace(ghz, amps=ghz.amps * scale)
+            for p in range(1, 5):
+                assert font_counts(replaced, p) == {2: 0, 3: 0, 4: 1}, (scale, p)
+        # a 4-way det of 1e-140 relative to the squared norm, above tol = 1e-150,
+        # also where that threshold would underflow
+        tilted = np.eye(16)[0] + 1e-140 * np.eye(16)[15]
+        for scale in (1.0, 1e-99):
+            counts = font_counts(make_state(4, tilted * scale), 1, tol=1e-150)
+            assert counts == {2: 0, 3: 0, 4: 1}, scale
 
 
 def _kernel_states(n: int, seed: int):
@@ -258,8 +276,8 @@ def test_qubit_tables_gather_the_moveaxis_layout(n):
     # the cached tables read qubit p's minors, and its qubit-first vector,
     # straight from the amplitudes: bit for bit the moveaxis copy's
     for state in _layout_states(n, 1423):
-        work = state if state.normalized else PureState(
-            n, state.amps / _amplitude_scale(state.amps))
+        # the count depends on the direction only: that of the rescaled vector
+        work = PureState(n, state.amps / _amplitude_scale(state.amps))
         threshold = 1e-9 * work.norm ** 2
         scale = float(np.max(np.abs(state.amps)))
         for p in range(1, n + 1):
@@ -279,8 +297,7 @@ def test_qubit_tables_gather_the_moveaxis_layout(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_counts_match_per_spec_loop(n):
     for state in _kernel_states(n, 1409):
-        work = state if state.normalized else make_state(
-            n, state.amps / np.max(np.abs(state.amps)))
+        work = normalize(state)
         threshold = 1e-9 * work.norm ** 2
         for p in range(1, n + 1):
             expected = {k: sum(1 for spec in enumerate_fonts(n, p, k)

@@ -217,15 +217,22 @@ def test_global_negativity_at_large_scale():
         assert big == pytest.approx(1e300 * (negativity(unit, p) + 1.0), rel=1e-12)
 
 
+def _overflowing_ghz4():
+    """GHZ4 scaled by 1e200, and with amplitudes 1.5e308 (1 + 1j), whose
+    moduli overflow while their parts are finite."""
+    return (make_state(4, normalize(catalog_state("GHZ4")).amps * 1e200),
+            make_state(4, (np.eye(16)[0] + np.eye(16)[15]) * (1.5e308 * (1 + 1j))))
+
+
 def test_negativity_non_finite_raises():
-    s = make_state(4, normalize(catalog_state("GHZ4")).amps * 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(1, 5):
-            with pytest.raises(NonFiniteResult):
-                negativity(s, p)
-            for k in range(2, 5):
+        for s in _overflowing_ghz4():
+            for p in range(1, 5):
                 with pytest.raises(NonFiniteResult):
-                    negativity(s, p, k)
+                    negativity(s, p)
+                for k in range(2, 5):
+                    with pytest.raises(NonFiniteResult):
+                        negativity(s, p, k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -256,18 +263,19 @@ def test_global_negative_eigenvalue_of_product_cuts():
 
 
 def test_global_negative_eigenvalue_non_finite_raises():
-    s = make_state(4, normalize(catalog_state("GHZ4")).amps * 1e200)
+    # every cut of GHZ4 is entangled, so none may read as a product cut
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(1, 5):
-            with pytest.raises(NonFiniteResult):
-                negative_eigenvalues(s, p)
+        for s in _overflowing_ghz4():
+            for p in range(1, 5):
+                with pytest.raises(NonFiniteResult):
+                    negative_eigenvalues(s, p)
 
 
 def test_a_product_cut_has_no_negative_eigenvalue_at_any_scale():
     # s1 s2 = 0 is read before the squared scale, which overflows past ~1e154
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for scale in (1.0, 1e-200, 1e160, 1e200):
+        for scale in (1.0, 1e-200, 1e160, 1e200, 1.5e308 * (1 + 1j)):
             s = make_state(4, np.eye(16)[0] * scale)
             for p in range(1, 5):
                 got = negative_eigenvalues(s, p)

@@ -1,5 +1,6 @@
 """State construction, indexing, unitaries, permutations."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from helpers import haar_u2
 from negfonts import (
     LocalUnitary,
+    PureState,
     apply_local_unitary,
     bits_of_index,
     index_of_bits,
@@ -48,7 +50,14 @@ def test_index_convention_qubit1_most_significant():
 def test_make_state_basis_vector():
     s = make_state(2, [1, 0, 0, 0])
     assert s.amplitude((0, 0)) == 1
-    assert not s.normalized
+    assert s.norm == 1.0 and not s.amps.flags.writeable
+
+
+def test_a_state_holds_only_its_qubit_count_and_amplitudes():
+    # whether a state is a unit vector is read from its amplitudes, never declared
+    assert [f.name for f in dataclasses.fields(PureState)] == ["n_qubits", "amps"]
+    with pytest.raises(TypeError):
+        PureState(2, np.eye(4)[0], normalized=True)
 
 
 def test_make_state_ghz4():
@@ -75,7 +84,7 @@ def test_make_state_errors():
 def test_normalize():
     s = normalize(make_state(2, [2, 0, 0, 0]))
     np.testing.assert_allclose(s.amps, [1, 0, 0, 0])
-    assert s.normalized
+    assert s.norm == 1.0
 
     ghz_raw = np.zeros(16)
     ghz_raw[0] = ghz_raw[15] = 1.0
@@ -142,7 +151,7 @@ def test_apply_matches_the_tensordot_form_bit_for_bit():
                  else local_unitary(haar_u2(rng), qubit))
             got = apply_local_unitary(state, u)
             assert got.amps.tobytes() == _tensordot_apply(state, u).tobytes(), (trial, qubit)
-            assert got.normalized == state.normalized and not got.amps.flags.writeable
+            assert not got.amps.flags.writeable
 
 
 def test_apply_preserves_norm():
