@@ -19,10 +19,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
-                     UnknownFamily, WrongArity, check_tolerance)
-from .fonts import DEFAULT_TOL, _det_moduli, _det_orders, _font_minors, font_counts
-from .invariants import (_quartic_coefficients, _quartic_invariants, aggregate_invariants, i4,
-                         i48, triple_invariants)
+                     UnknownFamily, check_arity, check_index, check_tolerance)
+from .fonts import (DEFAULT_TOL, _det_moduli, _det_orders, _font_minors, _qubit_tables,
+                    font_counts)
+from .invariants import (_move_last, _quartic_coefficients, _quartic_invariants,
+                         aggregate_invariants, i4, i48, triple_invariants)
 from .powell import minimize
 from .states import PureState, normalize
 
@@ -86,8 +87,7 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
              use_font_min: bool = False, seed: int = 0,
              restarts: int = 32, iters: int = 400) -> ClassReport:
     """Assign a four-qubit state to one of the seven major classes."""
-    if state.n_qubits != 4:
-        raise WrongArity(f"classify requires n=4, got n={state.n_qubits}")
+    check_arity(state, 4, "classify")
     check_tolerance(tol)
     _check_budget(seed, restarts, iters)
     notes: list[str] = []
@@ -383,9 +383,9 @@ def _phase_gauge(vec: np.ndarray, amp_floor: float) -> np.ndarray:
 
 def _check_budget(seed, restarts, iters) -> None:
     """Raise BadBudget unless seed >= 0, restarts >= 0 and iters >= 1 are ints."""
-    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 0), ("iters", iters, 1)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise BadBudget(f"{name} must be an integer of at least {least}, got {value!r}")
+    check_index(seed, 0, None, "seed", BadBudget)
+    check_index(restarts, 0, None, "restarts", BadBudget)
+    check_index(iters, 1, None, "iters", BadBudget)
 
 
 def _invariant_fingerprint(state: PureState) -> np.ndarray:
@@ -398,15 +398,13 @@ def _invariant_fingerprint(state: PureState) -> np.ndarray:
 
 # the start frame ranks frames at this floor: its quartic roots are not polished
 _START_FLOOR = 1e-7
-# the amplitude positions that move qubit q (0-based) last, the others in order
-_MOVE_LAST = np.stack([np.moveaxis(np.arange(16).reshape(2, 2, 2, 2), q, 3).ravel()
-                       for q in range(4)])
 
 
 def _eigenframe(amps: np.ndarray) -> np.ndarray:
     """Each qubit rotated into the eigenbasis of its one-qubit reduced state,
     the larger eigenvalue on |0>: the normal form of Kraus, PRL 104, 020504."""
-    rows = amps[_MOVE_LAST].reshape(4, 8, 2).swapaxes(-1, -2)
+    # qubit q's bit by the other qubits' bits, for each q
+    rows = np.stack([amps[_qubit_tables(4, q)[0]] for q in (1, 2, 3, 4)]).reshape(4, 2, 8)
     _, vecs = np.linalg.eigh(rows @ rows.conj().swapaxes(-1, -2))
     for q, gate in enumerate(vecs[..., ::-1].conj().swapaxes(-1, -2)):
         amps = _apply_gates(amps, q, gate[None])[0]
@@ -418,7 +416,7 @@ def _root_gates(vec: np.ndarray, q: int) -> np.ndarray:
     (0-based), one per root x of the transposition quartic I3(t0 + x t1) with
     qubit q last.  Each maps slice 0 to a multiple of t0 + x t1, so it zeroes
     the three-way invariant of that slice."""
-    i3_0, i3_1, t, p0, p1 = _quartic_coefficients(PureState(4, vec[_MOVE_LAST[q]]))
+    i3_0, i3_1, t, p0, p1 = _quartic_coefficients(_move_last(PureState(4, vec), q + 1))
     # np.roots drops zero leading coefficients; below 1e-300 one would overflow it
     x = np.roots([a if abs(a) > 1e-300 else 0 for a in (i3_1, 4 * p1, 6 * t, 4 * p0, i3_0)])
     c = 1 / np.hypot(1.0, np.abs(x))
@@ -484,8 +482,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     accepted best and never increase: row 0 is the start frame, then one
     row per restart and one per Clifford round.
     """
-    if state.n_qubits != 4:
-        raise WrongArity(f"font_minimize requires n=4, got n={state.n_qubits}")
+    check_arity(state, 4, "font_minimize")
     _check_budget(seed, restarts, iters)
     check_tolerance(tol)
     unit = normalize(state)

@@ -28,12 +28,11 @@ from .errors import (
     BadK,
     NegfontsError,
     NonFiniteResult,
-    QubitOutOfRange,
     SearchDrift,
     UnknownFamily,
     UnknownState,
-    UnsupportedArity,
     WrongArity,
+    check_index,
     check_tolerance,
 )
 from .states import (
@@ -80,15 +79,13 @@ def _report(args, state: PureState, payload: dict, normalized: bool = True,
 def cmd_invariants(args) -> int:
     state = stateio.read_state_file(args.infile)
     n = state.n_qubits
-    if n not in (2, 3, 4):
-        raise UnsupportedArity(f"invariants supports n in 2..4, got n={n}")
     work = state if args.no_normalize else normalize(state)
     if n == 2:
         payload = {"i2": inv.i2_pair(work)}
     elif n == 3:
         payload = {"three_qubit": stateio.three_report_dict(
             inv.three_qubit_report(work, args.tol))}
-    else:
+    else:                   # raises WrongArity unless n = 4
         payload = {"four_qubit": stateio.four_report_dict(
             inv.aggregate_invariants(work), triple=args.triple)}
     return _report(args, work, payload, normalized=not args.no_normalize)
@@ -96,8 +93,6 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     state = stateio.read_state_file(args.infile)
-    if state.n_qubits != 4:
-        raise UnsupportedArity(f"classify supports n=4, got n={state.n_qubits}")
     report = run_classify(state, tol=args.tol, use_font_min=args.font_min,
                           seed=args.seed, restarts=args.restarts, iters=args.iters)
     return _report(args, state, {"class_report": stateio.class_report_dict(report)},
@@ -108,8 +103,7 @@ def _qubits(qubit: int | None, n: int) -> list[int]:
     """The --qubit option, or every qubit when it is not given."""
     if qubit is None:
         return list(range(1, n + 1))
-    if not 1 <= qubit <= n:
-        raise QubitOutOfRange(f"--qubit must be in 1..{n}, got {qubit}")
+    check_index(qubit, 1, n, "--qubit")
     return [qubit]
 
 
@@ -131,8 +125,8 @@ def cmd_fonts(args) -> int:
     state = normalize(stateio.read_state_file(args.infile))
     n = state.n_qubits
     qubits = _qubits(args.qubit, n)
-    if args.k is not None and not 2 <= args.k <= n:
-        raise BadK(f"--k must be in 2..{n}, got {args.k}")
+    if args.k is not None:
+        check_index(args.k, 2, n, "--k", BadK)
     payload = {}
     for p in qubits:
         listing = []
@@ -356,10 +350,8 @@ CHECK_SUITES = {
 def cmd_check(args) -> int:
     runner, default_trials, default_tol = CHECK_SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
-    if trials < 1:
-        raise BadBudget(f"--trials must be at least 1, got {trials}")
-    if args.seed < 0:
-        raise BadBudget(f"--seed must be at least 0, got {args.seed}")
+    check_index(trials, 1, None, "--trials", BadBudget)
+    check_index(args.seed, 0, None, "--seed", BadBudget)
     tol = args.tol if args.tol is not None else default_tol
     worst, label = runner(trials, args.seed, tol)
     status = "ok" if worst <= tol else "VIOLATION"
@@ -456,7 +448,7 @@ def main(argv=None) -> int:
         # (exit 3), so numpy's own RuntimeWarnings would only add noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (UnsupportedArity, WrongArity) as exc:
+    except WrongArity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARITY
     except (SearchDrift, NonFiniteResult) as exc:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the tolerance check."""
+"""Exception types shared across the package, and the checks of tolerances,
+integer arguments and qubit counts."""
 
 import math
+
+import numpy as np
 
 
 class NegfontsError(Exception):
@@ -49,6 +52,24 @@ def check_tolerance(tol: float, name: str = "tol") -> None:
         raise BadTolerance(f"{name} must be finite and at least 0, got {tol}")
 
 
+def check_index(value, least: int, most: int | None, name: str,
+                error: type[NegfontsError] = QubitOutOfRange) -> None:
+    """Raise `error` unless value is an int or numpy integer, not a bool, in
+    least..most; most=None sets no upper end."""
+    # the exact-int test first: it is the common case, and half the cost
+    if not ((type(value) is int
+             or isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+            and least <= value and (most is None or value <= most)):
+        span = f"of at least {least}" if most is None else f"in {least}..{most}"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_arity(state, n: int, op: str) -> None:
+    """Raise WrongArity unless the state has n qubits."""
+    if state.n_qubits != n:
+        raise WrongArity(f"{op} requires n={n}, got n={state.n_qubits}")
+
+
 class NotHermitian(NegfontsError):
     """Matrix fails the Hermiticity check."""
 
@@ -93,7 +114,3 @@ class SearchDrift(NegfontsError):
 
 class NonFiniteResult(NegfontsError):
     """A computed value is NaN or infinite, so no report is written."""
-
-
-class UnsupportedArity(NegfontsError):
-    """Command supports only 2-, 3-, or 4-qubit states."""

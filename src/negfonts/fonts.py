@@ -29,8 +29,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import QubitOutOfRange, SpecMismatch, WrongArity, check_tolerance
-from .states import PureState, _amplitude_scale, index_of_bits
+from .errors import SpecMismatch, check_arity, check_index, check_tolerance
+from .states import MAX_QUBITS, MIN_QUBITS, PureState, _amplitude_scale, index_of_bits
 
 DEFAULT_TOL = 1e-9
 
@@ -75,16 +75,21 @@ class FontSpec:
         return body + (f" | {sub}]" if sub else "]")
 
 
-@functools.cache
 def enumerate_fonts(n: int, p: int, k: int | None = None) -> tuple[FontSpec, ...]:
     """All canonical fonts for transposed qubit p, optionally of one order K."""
-    if not 1 <= p <= n:
-        raise QubitOutOfRange(f"qubit {p} outside 1..{n}")
+    # checked before the cache, where 3.0 and True would find the entries of 3 and 1
+    check_index(n, MIN_QUBITS, MAX_QUBITS, "n_qubits")
+    check_index(p, 1, n, "qubit")
     if k is not None:
-        if not 2 <= k <= n:
-            raise QubitOutOfRange(f"font order {k} outside 2..{n}")
+        check_index(k, 2, n, "font order")
+    return _enumerate_fonts(n, p, k)
+
+
+@functools.cache
+def _enumerate_fonts(n: int, p: int, k: int | None) -> tuple[FontSpec, ...]:
+    if k is not None:
         # the cached specs of the full enumeration, so each is built once
-        return tuple(spec for spec in enumerate_fonts(n, p) if spec.k == k)
+        return tuple(spec for spec in _enumerate_fonts(n, p, None) if spec.k == k)
     specs = []
     others = [q for q in range(1, n + 1) if q != p]
     for order in range(2, n + 1):
@@ -113,11 +118,8 @@ def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
     others = iter(spec.pattern)
     for q in spec.flip_set:
         bits_i[q - 1] = 0 if q == spec.p else next(others)
-    bits_j = list(bits_i)
-    for q in spec.flip_set:
-        bits_j[q - 1] ^= 1
-    i = index_of_bits(bits_i)
-    j = index_of_bits(bits_j)
+    i = index_of_bits(bits_i)               # checks every bit
+    j = i ^ sum(1 << (n - q) for q in spec.flip_set)
     pbit = 1 << (n - spec.p)
     return i, j, i ^ pbit, j ^ pbit
 
@@ -191,14 +193,9 @@ def _font_minors(state: PureState, p: int) -> np.ndarray:
     return f[0] * f[1] - f[2] * f[3]
 
 
-def _require_four(state: PureState, op: str) -> None:
-    if state.n_qubits != 4:
-        raise WrongArity(f"{op} requires a 4-qubit state, got n={state.n_qubits}")
-
-
 def d2(state: PureState, i3: int, i4: int) -> complex:
     """Two-way det for the pair (1,2) with spectators 3 and 4 fixed at (i3, i4)."""
-    _require_four(state, "d2")
+    check_arity(state, 4, "d2")
     return font_det(state, FontSpec(1, (1, 2), (0,), ((3, i3), (4, i4))))
 
 
@@ -207,7 +204,7 @@ def d3(state: PureState, triple: tuple[int, int, int], i2: int, spectator_bit: i
 
     `triple` is (1,2,3) (spectator qubit 4) or (1,2,4) (spectator qubit 3).
     """
-    _require_four(state, "d3")
+    check_arity(state, 4, "d3")
     triple = tuple(triple)
     if triple not in ((1, 2, 3), (1, 2, 4)):
         raise SpecMismatch(f"triple must be (1,2,3) or (1,2,4), got {triple}")
@@ -217,7 +214,7 @@ def d3(state: PureState, triple: tuple[int, int, int], i2: int, spectator_bit: i
 
 def d4(state: PureState, i3: int, i4: int) -> complex:
     """Four-way det with row pattern (0, 0, i3, i4); the four are independent."""
-    _require_four(state, "d4")
+    check_arity(state, 4, "d4")
     return font_det(state, FontSpec(1, (1, 2, 3, 4), (0, i3, i4), ()))
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import QubitOutOfRange, WrongArity, check_tolerance
+from .errors import QubitOutOfRange, check_arity, check_index, check_tolerance
 from .fonts import DEFAULT_TOL, FontSpec, font_det
 from .ptrans import negativity
 from .states import PureState, _power, inverse_permutation, permute_qubits
@@ -57,11 +57,6 @@ def _over(z: complex, d: float) -> complex:
     return complex((z.real + z.imag * 0.0) * r, (z.imag - z.real * 0.0) * r)
 
 
-def _require(state: PureState, n: int, op: str) -> None:
-    if state.n_qubits != n:
-        raise WrongArity(f"{op} requires n={n}, got n={state.n_qubits}")
-
-
 def _move_last(state: PureState, q: int) -> PureState:
     """Relabel so that qubit q comes last and the others keep their order."""
     n = state.n_qubits
@@ -77,9 +72,9 @@ def _move_last(state: PureState, q: int) -> PureState:
 
 def i2_pair(state: PureState) -> float:
     """|a00*a11 - a01*a10|: the single two-qubit correlation invariant."""
-    _require(state, 2, "i2_pair")
-    a = state.amps
-    return float(abs(a[0] * a[3] - a[1] * a[2]))
+    check_arity(state, 2, "i2_pair")
+    u = state.amps.tolist()
+    return _modulus(u[0] * u[3] - u[1] * u[2])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +124,7 @@ def _three_way(d, g) -> complex:
 
 def three_way_invariant(state: PureState) -> complex:
     """Degree-4 invariant detecting GHZ-type three-body correlations."""
-    _require(state, 3, "three_way_invariant")
+    check_arity(state, 3, "three_way_invariant")
     return _three_way(*_three_way_terms(state.amps.tolist()))
 
 
@@ -145,7 +140,7 @@ def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
     the pair dets with the spectator fixed at b; other pairs are reduced to
     this form by relabeling.
     """
-    _require(state, 3, "n_pair_sq")
+    check_arity(state, 3, "n_pair_sq")
     view = _SPECTATOR_LAST.get(tuple(sorted(pair)))
     if view is None:
         raise QubitOutOfRange(f"n_pair_sq needs two distinct qubits of 1..3, got {pair}")
@@ -174,7 +169,7 @@ class ThreeQubitReport:
 
 
 def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubitReport:
-    _require(state, 3, "three_qubit_report")
+    check_arity(state, 3, "three_qubit_report")
     check_tolerance(tol)
     u = state.amps.tolist()
     terms = {pair: _three_way_terms(view(u)) for pair, view in _SPECTATOR_LAST.items()}
@@ -198,7 +193,7 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
 def n_global_sq_relation(state: PureState) -> tuple[float, float]:
     """(lhs, rhs) of: squared global negativity of qubit 1 equals
     4*(pair 1,2 invariant) + 4*(pair 1,3 invariant)."""
-    _require(state, 3, "n_global_sq_relation")
+    check_arity(state, 3, "n_global_sq_relation")
     lhs = _power(negativity(state, 1), 2)
     rhs = 4.0 * n_pair_sq(state, (1, 2)) + 4.0 * n_pair_sq(state, (1, 3))
     return lhs, rhs
@@ -217,7 +212,7 @@ def _four_way_dets(a) -> list[complex]:
 
 def i4(state: PureState) -> complex:
     """Degree-2 invariant: alternating sum of the four 4-way dets."""
-    _require(state, 4, "i4")
+    check_arity(state, 4, "i4")
     d00, d01, d10, d11 = _four_way_dets(state.amps.tolist())
     return d00 + d11 - d10 - d01
 
@@ -285,39 +280,34 @@ def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
 
 def i3_conditional(state: PureState, i4bit: int) -> complex:
     """Three-way invariant of the triple (1,2,3) with qubit 4 fixed at i4bit."""
-    _require(state, 4, "i3_conditional")
-    if isinstance(i4bit, bool) or not isinstance(i4bit, (int, np.integer)) or i4bit not in (0, 1):
-        raise QubitOutOfRange(f"i3_conditional needs the bit of qubit 4 as 0 or 1, got {i4bit!r}")
+    check_arity(state, 4, "i3_conditional")
+    check_index(i4bit, 0, 1, "the bit of qubit 4")
     return _quartic_coefficients(state)[i4bit]
 
 
 def t_p_invariants(state: PureState) -> tuple[complex, complex, complex]:
     """(T, P0, P1): the middle coefficients of the transposition quartic."""
-    _require(state, 4, "t_p_invariants")
+    check_arity(state, 4, "t_p_invariants")
     return _quartic_coefficients(state)[2:]
 
 
 def i48(state: PureState) -> complex:
     """Degree-8 invariant; nonzero exactly on states with four-body correlations."""
-    _require(state, 4, "i48")
     return triple_invariants(state).i48
 
 
 def j12(state: PureState) -> complex:
     """Degree-12 cubic invariant of the transposition quartic."""
-    _require(state, 4, "j12")
     return triple_invariants(state).j12
 
 
 def delta24(state: PureState) -> complex:
     """Degree-24 discriminant: i48**3 - 27 * j12**2."""
-    _require(state, 4, "delta24")
     return triple_invariants(state).delta24
 
 
 def n_triple_sq(state: PureState, singled: int = 4) -> float:
     """Squared triple invariant for the three qubits other than `singled`."""
-    _require(state, 4, "n_triple_sq")
     return triple_invariants(state, singled).n_sq
 
 
@@ -339,7 +329,8 @@ class TripleInvariants:
 
 
 def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:
-    _require(state, 4, "triple_invariants")
+    check_arity(state, 4, "triple_invariants")
+    check_index(singled, 1, 4, "singled")
     coeffs = _quartic_coefficients(_move_last(state, singled))
     return TripleInvariants(singled=singled, **_quartic_invariants(*coeffs))
 
@@ -357,7 +348,7 @@ _PAIR_FONTS = {key: _pair_fonts(*pair) for pair in PAIRS4 for key in (pair, pair
 
 def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
     """Sum of |det| over the four 2-way fonts of one pair (both spectators swept)."""
-    _require(state, 4, "pair_det_sum")
+    check_arity(state, 4, "pair_det_sum")
     try:
         specs = _PAIR_FONTS[tuple(pair)]
     except (KeyError, TypeError):
@@ -387,7 +378,7 @@ def i26(state: PureState) -> float:
     Triangular form: each of the three triples containing qubit 1 multiplies a
     shrinking set of pair sums of pairs through the excluded qubit.
     """
-    _require(state, 4, "i26")
+    check_arity(state, 4, "i26")
     s = pair_det_sums(state)
     return float(1.5 * (3.0 * s[(1, 2)] * s[(1, 3)] * (s[(1, 4)] + s[(2, 4)] + s[(3, 4)])
                         + 3.0 * s[(1, 2)] * s[(1, 4)] * (s[(2, 3)] + s[(3, 4)])
@@ -396,7 +387,7 @@ def i26(state: PureState) -> float:
 
 def i26_symmetric(state: PureState) -> float:
     """Permutation-symmetric variant of i26; agrees with it on symmetric states."""
-    _require(state, 4, "i26_symmetric")
+    check_arity(state, 4, "i26_symmetric")
     s = pair_det_sums(state)
     total = 0.0
     for (ab, ac, bc), (ta, tb, tc) in _SYMMETRIC_TERMS:
@@ -451,7 +442,7 @@ class FourQubitReport:
 
 def aggregate_invariants(state: PureState) -> FourQubitReport:
     """Assemble the full four-qubit invariant report."""
-    _require(state, 4, "aggregate_invariants")
+    check_arity(state, 4, "aggregate_invariants")
     triples = tuple(triple_invariants(state, singled) for singled in (1, 2, 3, 4))
     n_vals = [math.sqrt(tr.n_sq) for tr in triples]     # indexed by singled-1
     n44_sq = 16.0 * (triples[3].n_sq + triples[2].n_sq + triples[1].n_sq)

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange
+from .errors import BadK, NonFiniteResult, NotHermitian, QubitOutOfRange, check_index
 from .fonts import _minors, _qubit_tables
 from .states import PureState, _amplitude_scale, _power
 
@@ -26,11 +26,6 @@ _HERM_TOL = 1e-10
 def density_from_pure(state: PureState) -> np.ndarray:
     """Projector |psi><psi| as a dense matrix."""
     return np.outer(state.amps, state.amps.conj())
-
-
-def _check_qubit(n: int, p: int) -> None:
-    if not 1 <= p <= n:
-        raise QubitOutOfRange(f"qubit {p} outside 1..{n}")
 
 
 @functools.cache
@@ -49,7 +44,7 @@ def _kway_mask(n: int, p: int, k: int) -> np.ndarray:
 
 def _axes(rho: np.ndarray, n: int, p: int) -> np.ndarray:
     """rho viewed with axes (row, col) = (before p, p, after p) x 2."""
-    _check_qubit(n, p)
+    check_index(p, 1, n, "qubit")
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise QubitOutOfRange(f"matrix shape {rho.shape} does not match n={n}")
@@ -67,8 +62,7 @@ def global_pt(rho: np.ndarray, p: int, n: int) -> np.ndarray:
 def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
     """Selective transpose over qubit p of the elements of coherence order K
     (orders 1 and 2 for k == 2); everything else is copied."""
-    if not 2 <= k <= n:
-        raise BadK(f"K must be in 2..{n}, got {k}")
+    check_index(k, 2, n, "K", BadK)
     view = _axes(rho, n, p)                 # checks p first
     mask = _kway_mask(n, p, k).reshape(view.shape)
     return np.where(mask, view.swapaxes(1, 4), view).reshape(rho.shape)
@@ -105,12 +99,10 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def _kway_spectrum(state: PureState, p: int, k) -> np.ndarray:
-    """Eigenvalues of the K-way transpose of |psi><psi|; K must be integral."""
-    if not isinstance(k, (int, np.integer)):
-        raise BadK(f"kind must be {GLOBAL!r} or an integer K, got {k!r}")
+def _kway_spectrum(state: PureState, p: int, k: int) -> np.ndarray:
+    """Eigenvalues of the K-way transpose of |psi><psi|."""
     rho = density_from_pure(state)
-    return hermitian_eigenvalues(kway_pt(rho, p, int(k), state.n_qubits))
+    return hermitian_eigenvalues(kway_pt(rho, p, k, state.n_qubits))
 
 
 def _global_parts(state: PureState, p: int) -> tuple:
@@ -123,7 +115,7 @@ def _global_parts(state: PureState, p: int) -> tuple:
     minors D, the canonical fonts of p.  Taken on u, the minors overflow only
     where the result does.
     """
-    _check_qubit(state.n_qubits, p)
+    check_index(p, 1, state.n_qubits, "qubit")
     scale = float(_amplitude_scale(state.amps))
     unit = state.amps[_qubit_tables(state.n_qubits, p)[0]] / scale
     return _power(scale, 2), unit, np.sqrt(np.sum(np.abs(_minors(unit)) ** 2))

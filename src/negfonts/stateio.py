@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import NonFiniteResult, ParseError, ZeroVector
+from .errors import NonFiniteResult, ParseError, ZeroVector, check_index
 from .invariants import tau48_from_i48
 from .states import MAX_QUBITS, MIN_QUBITS, PureState, bits_of_index, index_of_bits, make_state
 
@@ -135,6 +135,7 @@ def _triple_dict(tr) -> dict:
 
 
 def four_report_dict(report, triple: int = 4) -> dict:
+    check_index(triple, 1, 4, "triple")
     head = report.triples[triple - 1]
     return {
         "i4": cnum(report.i4),

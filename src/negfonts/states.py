@@ -18,8 +18,8 @@ from .errors import (
     InvalidPermutation,
     NonFinite,
     NonUnitary,
-    QubitOutOfRange,
     ZeroVector,
+    check_index,
 )
 
 MIN_QUBITS = 2
@@ -33,6 +33,7 @@ def index_of_bits(bits: Sequence[int]) -> int:
     """Array position of basis label (i1, ..., in), qubit 1 most significant."""
     pos = 0
     for b in bits:
+        check_index(b, 0, 1, "bit")
         pos = (pos << 1) | int(b)
     return pos
 
@@ -108,8 +109,7 @@ class LocalUnitary:
 
 def make_state(n: int, amps: Iterable[complex]) -> PureState:
     """Build a state from raw amplitudes; no normalization is applied."""
-    if not MIN_QUBITS <= n <= MAX_QUBITS:
-        raise QubitOutOfRange(f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}")
+    check_index(n, MIN_QUBITS, MAX_QUBITS, "n_qubits")
     vec = np.asarray(list(amps) if not isinstance(amps, np.ndarray) else amps,
                      dtype=np.complex128).ravel().copy()
     if vec.size != (1 << n):
@@ -168,8 +168,7 @@ def local_unitary(matrix: np.ndarray, qubit: int, special: bool = False) -> Loca
 def apply_local_unitary(state: PureState, u: LocalUnitary) -> PureState:
     """Act with u.matrix on the indicated qubit."""
     n = state.n_qubits
-    if not 1 <= u.qubit <= n:
-        raise QubitOutOfRange(f"qubit {u.qubit} outside 1..{n}")
+    check_index(u.qubit, 1, n, "qubit")
     _check_unitary(u.matrix)
     # the qubit's axis first, the others flattened in order: the one matmul
     # `np.tensordot` would make, without its bookkeeping
@@ -202,8 +201,7 @@ def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
 
 def random_state(n: int, seed) -> PureState:
     """Unit vector with i.i.d. standard complex Gaussian amplitudes."""
-    if not MIN_QUBITS <= n <= MAX_QUBITS:
-        raise QubitOutOfRange(f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}")
+    check_index(n, MIN_QUBITS, MAX_QUBITS, "n_qubits")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return normalize(make_state(n, vec))

@@ -6,13 +6,15 @@ every field (real and imaginary parts apart) of:
 
 - `triple_invariants` (singled 1..4), `aggregate_invariants`, `i4`,
   `i3_conditional` (bits 0 and 1), `t_p_invariants`, `pair_det_sum` (all 12
-  ordered pairs), `font_counts` (qubits 1..4) and `classify(...).signature`
-  (no search) of each four-qubit state;
+  ordered pairs), `font_counts` (qubits 1..4), `classify(...).signature`
+  (no search) and `d2`, `d3` and `d4` (every valid choice of bits) of each
+  four-qubit state;
 - `three_qubit_report`, `n_pair_sq` (every pair) and `three_way_invariant` of
   each three-qubit state;
+- `i2_pair` of each two-qubit state;
 - `family_expected` at fixed grid points of the sweep families.
 
-The states are fixed Haar states with n = 3 and 4 at scales 1, 3.7, 1e±30,
+The states are fixed Haar states with n = 2, 3 and 4 at scales 1, 3.7, 1e±30,
 1e±40, 1e±100 and 1e±200, and every catalog state (families at one fixed
 complex point).  Where a call raises, its error type enters the digest.
 
@@ -37,8 +39,12 @@ from negfonts import (
     catalog_names,
     catalog_state,
     classify,
+    d2,
+    d3,
+    d4,
     family_expected,
     font_counts,
+    i2_pair,
     i3_conditional,
     i4,
     make_state,
@@ -91,15 +97,23 @@ def _calls(state):
                     for pair in permutations((1, 2, 3, 4), 2))
         yield from ((f"counts{p}", lambda p=p: font_counts(state, p)) for p in (1, 2, 3, 4))
         yield "class", lambda: classify(state).signature
+        for b, c in product((0, 1), repeat=2):
+            yield f"d2{b}{c}", lambda b=b, c=c: d2(state, b, c)
+            yield f"d4{b}{c}", lambda b=b, c=c: d4(state, b, c)
+            for triple in ((1, 2, 3), (1, 2, 4)):
+                yield (f"d3{triple}{b}{c}",
+                       lambda triple=triple, b=b, c=c: d3(state, triple, b, c))
     elif state.n_qubits == 3:
         yield "report3", lambda: three_qubit_report(state)
         yield from ((f"n{pair}", lambda pair=pair: n_pair_sq(state, pair))
                     for pair in ((1, 2), (1, 3), (2, 3)))
         yield "i3", lambda: three_way_invariant(state)
+    elif state.n_qubits == 2:
+        yield "i2", lambda: i2_pair(state)
 
 
 def _states():
-    for n in (3, 4):
+    for n in (2, 3, 4):
         for trial in range(HAAR_STATES):
             base = random_state(n, (2020, n, trial))
             for scale in SCALES:

@@ -29,6 +29,7 @@ from negfonts import (
 from negfonts.classify import _decide, _det_moduli, _rotated_amps
 from negfonts.errors import (BadBudget, BadTolerance, MissingParameter, SearchDrift,
                              UnknownFamily, WrongArity)
+from negfonts.invariants import _move_last
 
 classify_module = importlib.import_module("negfonts.classify")
 
@@ -714,7 +715,6 @@ def _start_frame_inputs():
 
 
 def test_root_gates_are_special_unitary_and_zero_their_slice():
-    moved = classify_module._MOVE_LAST
     for state in _start_frame_inputs():
         for q in range(4):
             gates = classify_module._root_gates(state.amps, q)
@@ -723,7 +723,7 @@ def test_root_gates_are_special_unitary_and_zero_their_slice():
                                        np.broadcast_to(np.eye(2), gates.shape), atol=1e-12)
             np.testing.assert_allclose(np.linalg.det(gates), 1, atol=1e-12)
             for vec in classify_module._apply_gates(state.amps, q, gates):
-                rotated = make_state(4, vec[moved[q]])
+                rotated = _move_last(make_state(4, vec), q + 1)
                 assert abs(classify_module._quartic_coefficients(rotated)[0]) <= 1e-12
 
 

@@ -135,6 +135,11 @@ def test_invariants_unsupported_arity_exit_4(tmp_path, capsys):
     write_state_file(str(path), make_state(5, amps))
     code, _, _ = run(capsys, "invariants", "--in", str(path))
     assert code == 4
+    three = tmp_path / "ghz3.txt"
+    write_state_file(str(three), catalog_state("GHZ3"))
+    code, _, err = run(capsys, "classify", "--in", str(three))
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_cli(tmp_path, capsys):

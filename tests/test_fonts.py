@@ -29,6 +29,7 @@ from negfonts import (
     random_special_unitary,
     random_state,
 )
+from negfonts import fonts as fonts_module
 from negfonts.errors import QubitOutOfRange, SpecMismatch, WrongArity
 from negfonts.fonts import _det_orders, _font_indices, _font_minors, _minors
 from negfonts.ptrans import _global_parts
@@ -321,6 +322,32 @@ def test_bad_specs_and_ranges_raise_on_every_call():
             count_nonzero_fonts(s, 0, 2)
         with pytest.raises(QubitOutOfRange):
             count_nonzero_fonts(s, 1, 4)
+        # a float or bool qubit would read the cache entry of its integer
+        for p in (1.0, True):
+            with pytest.raises(QubitOutOfRange):
+                enumerate_fonts(3, p)
+            with pytest.raises(QubitOutOfRange):
+                count_nonzero_fonts(s, p, 2)
+            with pytest.raises(QubitOutOfRange):
+                font_counts(s, p)
+            with pytest.raises(QubitOutOfRange):
+                all_font_dets(s, p)
+        # a bit outside 0/1 would point at another amplitude
+        with pytest.raises(QubitOutOfRange):
+            font_det(s, FontSpec(1, (1, 2), (0,), ((3, 2),)))
+    s4 = random_state(4, 0)
+    for bit in (2, -1):
+        for call in (lambda: d2(s4, bit, 0), lambda: d2(s4, 0, bit),
+                     lambda: d3(s4, (1, 2, 3), bit, 0), lambda: d3(s4, (1, 2, 4), 0, bit),
+                     lambda: d4(s4, bit, 0), lambda: d4(s4, 0, bit)):
+            with pytest.raises(QubitOutOfRange):
+                call()
+    # a bad call leaves nothing in the cache, cold or warm
+    fonts_module._enumerate_fonts.cache_clear()
+    for _ in range(2):
+        with pytest.raises(QubitOutOfRange):
+            enumerate_fonts(4, 3.0)
+        assert [spec for spec, _ in all_font_dets(s4, 3)] == list(enumerate_fonts(4, 3))
 
 
 def _parity_states():

@@ -25,6 +25,7 @@ from negfonts import (
     delta24,
     i26,
     i26_symmetric,
+    i2_pair,
     i3_conditional,
     i4,
     i48,
@@ -419,8 +420,15 @@ def test_quartic_coefficients_match_dets3_reference():
 
 @pytest.mark.parametrize("bit", [2, -1, None, 1.5, True, "1", np.float64(0.0)])
 def test_i3_conditional_rejects_a_bad_bit(bit):
+    s = random_state(4, 1)
     with pytest.raises(QubitOutOfRange, match="bit of qubit 4"):
-        i3_conditional(random_state(4, 1), bit)
+        i3_conditional(s, bit)
+    # the singled-out qubit of a triple is checked the same way
+    for singled in (0, 5, 7, 1.0):
+        with pytest.raises(QubitOutOfRange, match="singled"):
+            triple_invariants(s, singled)
+        with pytest.raises(QubitOutOfRange, match="singled"):
+            n_triple_sq(s, singled)
 
 
 def test_i3_conditional_takes_numpy_integer_bits():
@@ -448,6 +456,7 @@ def test_invariant_kernels_emit_no_runtime_warning(scale):
         for pair in ((1, 2), (1, 3), (2, 3)):
             n_pair_sq(s3, pair)
         three_way_invariant(s3)
+    i2_pair(make_state(2, catalog_state("Bell").amps * scale))
 
 
 def test_j12_finite_when_coefficients_underflow():

@@ -106,6 +106,15 @@ def test_kway_errors():
         kway_pt(rho, 3, 2, 2)
     with pytest.raises(QubitOutOfRange):
         global_pt(rho, 0, 2)
+    # a float K or qubit is not an index, even where it equals one
+    with pytest.raises(BadK):
+        kway_pt(density_from_pure(random_state(4, 0)), 1, 2.5, 4)
+    with pytest.raises(QubitOutOfRange):
+        kway_pt(rho, 1.0, 2, 2)
+    with pytest.raises(QubitOutOfRange):
+        global_pt(rho, 1.0, 2)
+    with pytest.raises(QubitOutOfRange):
+        negativity(catalog_state("Bell"), 1.0)
 
 
 def test_decomposition_identity():

@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from negfonts import make_state, random_state
-from negfonts.errors import NonFiniteResult, ParseError, ZeroVector
-from negfonts.stateio import cnum, dump_report, read_state, write_state
+from negfonts import aggregate_invariants, make_state, random_state
+from negfonts.errors import NonFiniteResult, ParseError, QubitOutOfRange, ZeroVector
+from negfonts.stateio import cnum, dump_report, four_report_dict, read_state, write_state
 
 
 def round_trip(state):
@@ -74,3 +74,12 @@ def test_dump_report_rejects_non_finite(value):
     with pytest.raises(NonFiniteResult):
         dump_report({"ok": 1.0, "bad": cnum(complex(value, 0.0))}, buf)
     assert buf.getvalue() == ""
+
+
+def test_four_report_dict_checks_the_triple():
+    # triple 0 would read the last triple as the headline
+    report = aggregate_invariants(random_state(4, 3))
+    assert four_report_dict(report, 2)["headline"]["singled"] == 2
+    for triple in (0, 5, 4.0, True):
+        with pytest.raises(QubitOutOfRange):
+            four_report_dict(report, triple)

@@ -79,6 +79,12 @@ def test_make_state_errors():
         make_state(1, [1.0, 0.0])
     with pytest.raises(QubitOutOfRange):
         make_state(7, [1.0] * 128)
+    with pytest.raises(QubitOutOfRange):
+        make_state(4.0, [1.0] * 16)
+    # a bit of 2 or -1 would point at another amplitude
+    for bits in ((0, 2), (0, -1), (0, 1.0), (True, 0)):
+        with pytest.raises(QubitOutOfRange):
+            index_of_bits(bits)
 
 
 def test_normalize():
@@ -229,6 +235,8 @@ def test_random_state_determinism_and_norm():
     assert abs(inner(a, c)) < 1.0
     with pytest.raises(QubitOutOfRange):
         random_state(1, 0)
+    with pytest.raises(QubitOutOfRange):
+        random_state(4.0, 0)
 
 
 def test_random_special_unitary_contract():
