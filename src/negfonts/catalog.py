@@ -7,6 +7,7 @@ may be complex; real inputs are promoted.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -143,13 +144,21 @@ def catalog_state(name: str, params: Mapping[str, complex] | None = None) -> Pur
     """Build a cataloged state from its raw published amplitudes."""
     if name not in CATALOG:
         raise UnknownState(f"unknown state {name!r}; known: {', '.join(CATALOG)}")
-    entry = CATALOG[name]
+    return CATALOG[name].builder(*catalog_args(name, params))
+
+
+def catalog_args(name: str, params: Mapping[str, complex] | None) -> list[complex]:
+    """The parameters of the cataloged `name` as complex numbers, in the order
+    of its `params`; MissingParameter if one is missing, unknown or not a number."""
+    names = CATALOG[name].params
     params = dict(params or {})
-    missing = [p for p in entry.params if p not in params]
+    missing = [p for p in names if p not in params]
     if missing:
         raise MissingParameter(f"{name} needs parameter(s): {', '.join(missing)}")
-    extra = [p for p in params if p not in entry.params]
+    extra = [p for p in params if p not in names]
     if extra:
         raise MissingParameter(f"{name} does not take parameter(s): {', '.join(extra)}")
-    args = [complex(params[p]) for p in entry.params]
-    return entry.builder(*args)
+    bad = [f"{p}={params[p]!r}" for p in names if not isinstance(params[p], numbers.Number)]
+    if bad:
+        raise MissingParameter(f"{name} needs numeric parameter(s), got {', '.join(bad)}")
+    return [complex(params[p]) for p in names]

@@ -18,10 +18,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (BadBudget, MissingParameter, NonFiniteResult, SearchDrift,
-                     UnknownFamily, check_arity, check_index, check_tolerance)
-from .fonts import (DEFAULT_TOL, _det_moduli, _det_orders, _font_minors, _qubit_tables,
-                    font_counts)
+from .catalog import catalog_args
+from .errors import (BadBudget, NonFiniteResult, SearchDrift, UnknownFamily, check_arity,
+                     check_index, check_tolerance)
+from .fonts import DEFAULT_TOL, _det_orders, _minors, _qubit_tables, font_counts
 from .invariants import (_move_last, _quartic_coefficients, _quartic_invariants,
                          aggregate_invariants, i4, i48, triple_invariants)
 from .powell import minimize
@@ -56,7 +56,7 @@ class ClassReport:
 
 def _cut_entangled(unit: PureState, p: int, tol: float) -> bool:
     """Qubit p is entangled with the rest iff some font for p has nonzero det."""
-    return bool(np.any(np.abs(_font_minors(unit, p)) > tol))
+    return bool(np.any(np.abs(_minors(unit.amps, p)) > tol))
 
 
 def _decide(i48_zero: bool, dres_zero: bool, delta_zero: bool,
@@ -211,7 +211,7 @@ def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None) -> np.ndarray:
     # sqrt concentrates weight near zero, favoring sparse det profiles; the
     # amplitude term steers ties toward frames with few product terms
     out = _rotated_amps(amps, thetas)
-    moduli = _det_moduli(out)
+    moduli = np.abs(_minors(out))
     if watch is not None:
         watch(moduli)
     return (_row_sums(np.sqrt(moduli))
@@ -263,7 +263,7 @@ def _scores(vecs: np.ndarray, tol: float, has_four_body: bool) -> np.ndarray:
     degree-8 invariant else 1, sum of det moduli, nonzero amplitudes).
     """
     n = vecs.shape[-1].bit_length() - 1
-    moduli = _det_moduli(vecs)
+    moduli = np.abs(_minors(vecs))
     above = moduli > tol
     penalty = above[..., _det_orders(n) == n].any(-1) != has_four_body
     support = (np.abs(vecs) > tol).sum(-1)
@@ -533,17 +533,16 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
 # closed-form family expectations
 
 
-def _require_params(family: str, params: Mapping[str, complex], names: tuple[str, ...]):
-    missing = [p for p in names if p not in params]
-    if missing:
-        raise MissingParameter(f"{family} needs parameter(s): {', '.join(missing)}")
-    return [complex(params[p]) for p in names]
+SWEEP_FAMILIES = ("G_abcd", "L_abc2", "L_a2b2", "L_a2_0_3p1t", "Psi_ab")
 
 
 def family_expected(family: str, params: Mapping[str, complex]) -> dict:
     """Closed-form invariant values for the cataloged parametric families."""
+    if family not in SWEEP_FAMILIES:
+        raise UnknownFamily(f"no closed forms for family {family!r}")
+    args = catalog_args(family, params)
     try:
-        coeffs, extra = _closed_forms(family, params)
+        coeffs, extra = _closed_forms(family, *args)
     except OverflowError:   # a Python power raises where a numpy one saturates
         point = ", ".join(f"{name}={value:g}" for name, value in params.items())
         raise NonFiniteResult(f"closed forms of {family} overflow at {point}") from None
@@ -552,28 +551,24 @@ def family_expected(family: str, params: Mapping[str, complex]) -> dict:
     return {**out, **extra}
 
 
-def _closed_forms(family: str, params: Mapping[str, complex]) -> tuple[tuple, dict]:
-    """(i3_0, i3_1, T, P0, P1) of the family's headline triple, and extra values."""
+def _closed_forms(family: str, *args: complex) -> tuple[tuple, dict]:
+    """(i3_0, i3_1, T, P0, P1) of the family's headline triple, and extra
+    values, from its `catalog_args`."""
     if family == "G_abcd":
-        a, b, c, d = _require_params(family, params, ("a", "b", "c", "d"))
+        a, b, c, d = args
         big_a = (a ** 2 - b ** 2) * (d ** 2 - c ** 2)
         big_b = 0.25 * (a ** 2 - d ** 2) * (b ** 2 - c ** 2)
         return (big_b, big_b, (big_a - 2 * big_b) / 6, 0j, 0j), {"A": big_a, "B": big_b}
     if family == "L_abc2":
-        a, b, c = _require_params(family, params, ("a", "b", "c"))
+        a, b, c = args
         return (c * (a ** 2 - b ** 2), 0j,
                 (a ** 2 - c ** 2) * (b ** 2 - c ** 2) / 6, 0j, 0j), {}
     if family == "L_a2b2":
-        a, b = _require_params(family, params, ("a", "b"))
+        a, b = args
         return (0j, 0j, (a ** 2 - b ** 2) ** 2 / 6, 0j, 0j), {}
     if family == "L_a2_0_3p1t":
-        (a,) = _require_params(family, params, ("a",))
+        (a,) = args
         return (0j, 0j, a ** 4 / 6, 0j, 0j), {}
-    if family == "Psi_ab":
-        a, b = _require_params(family, params, ("a", "b"))
-        return (a ** 2 * b ** 2, b ** 4, (a ** 4 - 2 * a * b ** 3) / 6,
-                a ** 3 * b / 2, -a ** 2 * b ** 2 / 2), {}
-    raise UnknownFamily(f"no closed forms for family {family!r}")
-
-
-SWEEP_FAMILIES = ("G_abcd", "L_abc2", "L_a2b2", "L_a2_0_3p1t", "Psi_ab")
+    a, b = args                                         # Psi_ab
+    return (a ** 2 * b ** 2, b ** 4, (a ** 4 - 2 * a * b ** 3) / 6,
+            a ** 3 * b / 2, -a ** 2 * b ** 2 / 2), {}

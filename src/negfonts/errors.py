@@ -87,7 +87,7 @@ class UnknownState(NegfontsError):
 
 
 class MissingParameter(NegfontsError):
-    """Catalog family invoked without a required parameter."""
+    """Catalog family invoked with a parameter missing, unknown or not a number."""
 
 
 class UnknownFamily(NegfontsError):

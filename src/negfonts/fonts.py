@@ -15,10 +15,10 @@ S1 minus {p} carries bit 0.
 Seen as a 2 x 2^(n-1) matrix (rows: the bit of p, columns: the other qubits
 in order), the amplitudes have one 2x2 minor per column pair c1 < c2, and the
 canonical fonts of qubit p are exactly these minors: the font's two labels sit
-in columns c1 and c2, and its order K is popcount(c1 ^ c2) + 1.  `_minors`
-evaluates all of them in one gather, in `triu` column-pair order, and
-`_font_minors` gathers qubit p's straight from the amplitudes; the font
-counts, the global negativity and the classifier read them from there.
+in columns c1 and c2, and its order K is popcount(c1 ^ c2) + 1.  Only
+`_minor_factors` says which four amplitudes form a minor.  `_minors` gathers
+all of qubit p's, for one vector or a batch, and the invariants read theirs
+through fixed readers built on `_minor_factors`.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
         raise SpecMismatch(f"spec {spec} does not cover qubits 1..{n}")
     if len(spec.pattern) != spec.k - 1:
         raise SpecMismatch("row pattern must cover the flip set minus the transposed qubit")
+    for q in (spec.p, *spec.flip_set, *(q for q, _ in spec.spectators)):
+        check_index(q, 1, n, "a font's qubit", SpecMismatch)    # 3.0 == 3 passes the set test
     bits_i = [0] * n
     for q, b in spec.spectators:
         bits_i[q - 1] = b
@@ -137,60 +139,46 @@ def font_det(state: PureState, spec: FontSpec) -> complex:
     return a.item(i) * a.item(j) - a.item(i_flip) * a.item(j_flip)
 
 
-@functools.cache
-def _column_pairs(cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factor positions and coherence order of every minor of a 2 x cols matrix.
+def _minor_factors(cols: int, c1, c2) -> np.ndarray:
+    """Positions of the factors of minor (c1, c2) of a 2 x cols matrix m,
+    m flattened: the minor is m[0,c1] m[1,c2] - m[0,c2] m[1,c1].  c1 and c2
+    may be arrays; the four factors stack on the first axis."""
+    return np.stack([c1, c2 + cols, c2, c1 + cols])
 
-    Minor (c1, c2) of m is m[0,c1] m[1,c2] - m[0,c2] m[1,c1]; the first array
-    holds its four factors as positions in m flattened, one column per pair.
+
+@functools.cache
+def _qubit_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, factors, orders) for the canonical fonts of qubit p.
+
+    `order` holds the positions in the flat n-qubit amplitudes of the vector
+    with qubit p moved to the leading bit, the others keeping their order.
+    Read as a 2 x 2^(n-1) matrix, that vector has one minor per column pair
+    c1 < c2, in `triu` order: `factors` holds the flat positions of their
+    factors, and `orders` their font orders K.
     """
+    cols = 1 << (n - 1)
+    order = np.moveaxis(np.arange(1 << n).reshape((2,) * n), p - 1, 0).reshape(-1)
     c1, c2 = np.triu_indices(cols, k=1)
+    factors = order[_minor_factors(cols, c1, c2)]
     # flips among the non-transposed qubits, plus the transposed one
     orders = np.array([bin(int(a) ^ int(b)).count("1") + 1 for a, b in zip(c1, c2)])
-    factors = np.stack([c1, c2 + cols, c2, c1 + cols])
-    factors.setflags(write=False)
-    orders.setflags(write=False)
-    return factors, orders
+    for table in (order, factors, orders):
+        table.setflags(write=False)
+    return order, factors, orders
 
 
-def _minors(amps: np.ndarray) -> np.ndarray:
-    """Signed 2x2 minors of each amplitude vector on the last axis.
-
-    (..., 2^n) -> (..., C(2^(n-1), 2)): the vector is read as a 2 x 2^(n-1)
-    matrix whose rows are its leading bit, so the minors are the canonical
-    fonts of the qubit in front, in `triu` pair order.
-    """
-    f = amps[..., _column_pairs(amps.shape[-1] // 2)[0]]
+def _minors(amps: np.ndarray, p: int = 1) -> np.ndarray:
+    """Signed canonical font dets of qubit p for each amplitude vector on the
+    last axis: (..., 2^n) -> (..., C(2^(n-1), 2)), in `_qubit_tables` order."""
+    factors = _qubit_tables(amps.shape[-1].bit_length() - 1, p)[1]
+    # the same gather; a single vector skips numpy's slower `...` index path
+    f = amps[factors] if amps.ndim == 1 else amps[..., factors]
     return f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
-
-
-def _det_moduli(amps: np.ndarray) -> np.ndarray:
-    """|det| of every canonical font for the qubit of the leading bit."""
-    return np.abs(_minors(amps))
 
 
 def _det_orders(n: int) -> np.ndarray:
     """Font order K of each of the n-qubit minors, in `_minors` order."""
-    return _column_pairs(1 << (n - 1))[1]
-
-
-@functools.cache
-def _qubit_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, factors): the positions in the flat n-qubit amplitudes of the
-    vector with qubit p moved to the leading bit, the others keeping their
-    order, and of the factors that `_minors` reads from that vector."""
-    order = np.moveaxis(np.arange(1 << n).reshape((2,) * n), p - 1, 0).reshape(-1)
-    factors = order[_column_pairs(1 << (n - 1))[0]]
-    order.setflags(write=False)
-    factors.setflags(write=False)
-    return order, factors
-
-
-def _font_minors(state: PureState, p: int) -> np.ndarray:
-    """`_minors` of the amplitudes with qubit p in front, in one gather: the
-    canonical font dets of qubit p."""
-    f = state.amps[_qubit_tables(state.n_qubits, p)[1]]
-    return f[0] * f[1] - f[2] * f[3]
+    return _qubit_tables(n, 1)[2]
 
 
 def d2(state: PureState, i3: int, i4: int) -> complex:
@@ -234,7 +222,7 @@ def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_T
         state = PureState(n, state.amps / _amplitude_scale(state.amps))
         norm = state.norm
     threshold = tol * norm ** 2
-    moduli = np.abs(_font_minors(state, p))
+    moduli = np.abs(_minors(state.amps, p))
     return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
 
 

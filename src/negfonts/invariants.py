@@ -2,9 +2,14 @@
 
 All quantities are homogeneous polynomials (or moduli of polynomials) in the
 amplitudes; `degree` below refers to that homogeneity degree.  Zero tests are
-therefore scaled by ||amps||**degree rather than applied raw.  The four-qubit
-invariants come from the transposition quartic, built from the 2x2 dets of the
-three-qubit slices with qubit 3 or qubit 4 fixed plus the four 4-way dets.
+therefore scaled by ||amps||**degree rather than applied raw.
+
+Every det read here is a font of qubit 1 whose flip set holds qubit 2: of
+the amplitudes as a 2 x 2^(n-1) matrix, M[c][x] = minor (c, c ^ (2^(n-2) | x))
+(`fonts._minor_factors`), c the bits of qubits 3..n and x the flips on them.
+Two qubits read i2 = M[0][0]; three read the pair dets M[c][0] and the 3-way
+dets M[c][1], the pairs (1,3) and (2,3) through the view with their
+spectator moved last; four build the transposition quartic from all 16.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import QubitOutOfRange, check_arity, check_index, check_tolerance
-from .fonts import DEFAULT_TOL, FontSpec, font_det
+from .fonts import DEFAULT_TOL, FontSpec, _minor_factors, font_det
 from .ptrans import negativity
 from .states import PureState, _power, inverse_permutation, permute_qubits
 
@@ -66,66 +71,73 @@ def _move_last(state: PureState, q: int) -> PureState:
     return permute_qubits(state, inverse_permutation(order))
 
 
+def _font_reader(n: int, fonts, view=None) -> itemgetter:
+    """Reads the four factors of each font M[c][x], (c, x) in `fonts`, from
+    the flat n-qubit amplitudes, or from their `view`: the amplitudes at the
+    positions it lists."""
+    cols = 1 << (n - 1)
+    c, x = np.array(fonts).T
+    positions = _minor_factors(cols, c, c ^ (cols >> 1 | x)).T
+    if view is not None:
+        positions = view[positions]
+    return itemgetter(*positions.ravel().tolist())
+
+
+def _dets(u, read: itemgetter) -> list[complex]:
+    """The dets of the fonts that `read` reads from the flat amplitudes u."""
+    f = iter(read(u))
+    return [a * b - c * d for a, b, c, d in zip(f, f, f, f)]
+
+
 # ---------------------------------------------------------------------------
 # two qubits
+
+_I2 = _font_reader(2, [(0, 0)])
 
 
 def i2_pair(state: PureState) -> float:
     """|a00*a11 - a01*a10|: the single two-qubit correlation invariant."""
     check_arity(state, 2, "i2_pair")
-    u = state.amps.tolist()
-    return _modulus(u[0] * u[3] - u[1] * u[2])
+    (det,) = _dets(state.amps.tolist(), _I2)
+    return _modulus(det)
 
 
 # ---------------------------------------------------------------------------
 # three qubits
 
+_PAIRS3 = ((1, 2), (1, 3), (2, 3))
 
-def _gather(positions: np.ndarray) -> itemgetter:
-    """Reads the flat amplitudes at `positions`, in their C order."""
-    return itemgetter(*positions.ravel().tolist())
-
-
-# for each three-qubit pair, the view of the flat amplitudes with its
-# spectator moved last, the pair keeping its order: `_pair_dets` of the view
-# are that pair's dets
-_SPECTATOR_LAST = {pair: _gather(np.arange(8).reshape(2, 2, 2).transpose(axes))
-                   for pair, axes in {(1, 2): (0, 1, 2), (1, 3): (0, 2, 1),
-                                      (2, 3): (1, 2, 0)}.items()}
+# the fonts D0, D1, g000, g001 = M[0][0], M[1][0], M[0][1], M[1][1] of each
+# pair, in either order, read from the view of the flat amplitudes with its
+# spectator moved last, the pair keeping its order
+_PAIR_FONTS3 = {key: _font_reader(3, ((0, 0), (1, 0), (0, 1), (1, 1)),
+                                  np.arange(8).reshape(2, 2, 2).transpose(axes).ravel())
+                for pair, axes in zip(_PAIRS3, ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+                for key in (pair, pair[::-1])}
 
 
-def _pair_dets(u) -> tuple[complex, complex]:
-    """(D0, D1): the pair (1,2) dets of the flat three-qubit amplitudes u,
-    qubit 3 at 0 and 1."""
-    return u[0] * u[6] - u[2] * u[4], u[1] * u[7] - u[3] * u[5]
+def _pair_entry(table: dict, pair, n: int, op: str):
+    """table[pair] for two distinct qubits of 1..n, keyed in either order."""
+    try:
+        p, q = key = tuple(pair)
+        entry = table[key]
+        check_index(p, 1, n, "qubit")   # 1.0 and True find the entries of 1
+        check_index(q, 1, n, "qubit")
+    except (KeyError, TypeError, ValueError, QubitOutOfRange):
+        raise QubitOutOfRange(f"{op} needs two distinct qubits of 1..{n}, got {pair!r}") from None
+    return entry
 
 
-def _canonical_dets(u) -> tuple[complex, complex]:
-    """(g000, g001): the canonical 3-way dets of the flat three-qubit amplitudes u."""
-    return u[0] * u[7] - u[4] * u[3], u[1] * u[6] - u[5] * u[2]
-
-
-def _canonical_sum(u) -> complex:
-    """g000 + g001 of the flat three-qubit amplitudes u."""
-    g000, g001 = _canonical_dets(u)
-    return g000 + g001
-
-
-def _three_way_terms(u):
-    """(`_pair_dets(u)`, g000 + g001) of the flat three-qubit amplitudes u:
-    the only dets that the three-way invariant reads."""
-    return _pair_dets(u), _canonical_sum(u)
-
-
-def _three_way(d, g) -> complex:
-    """g^2 - 4 D0 D1 from the pair dets d = (D0, D1) and g = g000 + g001."""
-    return _square(g) - 4 * d[0] * d[1]
+def _three_way(d0, d1, g) -> complex:
+    """g^2 - 4 D0 D1 from the pair dets D0, D1 and g = g000 + g001."""
+    return _square(g) - 4 * d0 * d1
 
 
 def three_way_invariant(state: PureState) -> complex:
     """Degree-4 invariant detecting GHZ-type three-body correlations."""
     check_arity(state, 3, "three_way_invariant")
-    return _three_way(*_three_way_terms(state.amps.tolist()))
+    d0, d1, g000, g001 = _dets(state.amps.tolist(), _PAIR_FONTS3[(1, 2)])
+    return _three_way(d0, d1, g000 + g001)
 
 
 def three_tangle(state: PureState) -> float:
@@ -141,15 +153,14 @@ def n_pair_sq(state: PureState, pair: tuple[int, int]) -> float:
     this form by relabeling.
     """
     check_arity(state, 3, "n_pair_sq")
-    view = _SPECTATOR_LAST.get(tuple(sorted(pair)))
-    if view is None:
-        raise QubitOutOfRange(f"n_pair_sq needs two distinct qubits of 1..3, got {pair}")
-    return _pair_sq(*_three_way_terms(view(state.amps.tolist())))
+    read = _pair_entry(_PAIR_FONTS3, pair, 3, "n_pair_sq")
+    d0, d1, g000, g001 = _dets(state.amps.tolist(), read)
+    return _pair_sq(d0, d1, g000 + g001)
 
 
-def _pair_sq(d, g) -> float:
-    """|D0|^2 + |D1|^2 + 2*|g/2|^2 from `_three_way_terms` of a spectator-last view."""
-    return (_power(_modulus(d[0]), 2) + _power(_modulus(d[1]), 2)
+def _pair_sq(d0, d1, g) -> float:
+    """|D0|^2 + |D1|^2 + 2*|g/2|^2 from one pair's dets and g = g000 + g001."""
+    return (_power(_modulus(d0), 2) + _power(_modulus(d1), 2)
             + 2 * _power(_modulus(_over(g, 2)), 2))
 
 
@@ -172,14 +183,16 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
     check_arity(state, 3, "three_qubit_report")
     check_tolerance(tol)
     u = state.amps.tolist()
-    terms = {pair: _three_way_terms(view(u)) for pair, view in _SPECTATOR_LAST.items()}
+    dets = {pair: _dets(u, _PAIR_FONTS3[pair]) for pair in _PAIRS3}
+    # pair -> (D0, D1, g000 + g001)
+    terms = {pair: (d0, d1, g000 + g001) for pair, (d0, d1, g000, g001) in dets.items()}
     i3 = _three_way(*terms[(1, 2)])
-    w_sums = {pair: _modulus(d[0]) + _modulus(d[1]) for pair, (d, _) in terms.items()}
+    w_sums = {pair: _modulus(d0) + _modulus(d1) for pair, (d0, d1, _) in terms.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
     n_g = negativity(state, 1)
     return ThreeQubitReport(
-        pair_dets={pair: d for pair, (d, _) in terms.items()},
-        d3_canonical=_canonical_dets(u),
+        pair_dets={pair: t[:2] for pair, t in terms.items()},
+        d3_canonical=tuple(dets[(1, 2)][2:]),
         n_pair_sq={pair: _pair_sq(*t) for pair, t in terms.items()},
         n_global_sq=_power(n_g, 2),
         i3=i3,
@@ -203,28 +216,21 @@ def n_global_sq_relation(state: PureState) -> tuple[float, float]:
 # four qubits
 
 
-def _four_way_dets(a) -> list[complex]:
-    """The four independent 4-way dets of the flat four-qubit amplitudes a, for
-    the spectator bits (i3, i4) = 00, 01, 10, 11: with t = a as (2, 2, 2, 2),
-    t[0, 0, i3, i4] t[1, 1, 1-i3, 1-i4] - t[1, 0, i3, i4] t[0, 1, 1-i3, 1-i4]."""
-    return [a[c] * a[15 - c] - a[8 + c] * a[7 - c] for c in range(4)]
+# all 16 fonts M[c][x], x-major, and the 4-way dets M[c][3] alone
+_QUARTIC_FONTS = _font_reader(4, [(c, x) for x in range(4) for c in range(4)])
+_FOUR_WAY_FONTS = _font_reader(4, [(c, 3) for c in range(4)])
 
 
 def i4(state: PureState) -> complex:
     """Degree-2 invariant: alternating sum of the four 4-way dets."""
     check_arity(state, 4, "i4")
-    d00, d01, d10, d11 = _four_way_dets(state.amps.tolist())
+    d00, d01, d10, d11 = _dets(state.amps.tolist(), _FOUR_WAY_FONTS)
     return d00 + d11 - d10 - d01
 
 
 def tau4(state: PureState) -> float:
     """Degree-2 monotone 4*|i4|; nonzero also on pair-product states."""
     return 4.0 * _modulus(i4(state))
-
-
-# the flat three-qubit slices of the flat four-qubit amplitudes with qubit 3
-# fixed at 0 and at 1; a[b::2] are those with qubit 4 fixed at b
-_QUBIT3_AT = tuple(_gather(np.arange(16).reshape(2, 2, 2, 2)[:, :, b, :]) for b in (0, 1))
 
 
 def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
@@ -234,22 +240,21 @@ def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
     invariant of the slice t[..., b] (qubit 4 fixed at b) into a quartic in
     the parameter; its binomially weighted coefficients are
     (i3_0, P0, T, P1, i3_1).  The outer ones are the slices' three-way
-    invariants.  T and P_b combine the slices' pair (1,2) and canonical 3-way
-    dets with the 3-way dets of the slices t[:, :, b, :] (qubit 3 fixed at b)
-    and the four 4-way dets.
+    invariants.  T and P_b combine the slices' pair (1,2) dets d[b] and
+    canonical 3-way sums e[b] with the canonical 3-way sums f[b] of the slices
+    t[:, :, b, :] (qubit 3 fixed at b) and the four 4-way dets.
     """
-    a = state.amps.tolist()
-    # d[b][i]: qubit 3 at i, qubit 4 at b
-    d, e = zip(*(_three_way_terms(a[b::2]) for b in (0, 1)))
-    f = [_canonical_sum(slice3(a)) for slice3 in _QUBIT3_AT]
-    d00, d01, d10, d11 = _four_way_dets(a)
-    s4 = d00 + d01 + d10 + d11
+    m = _dets(state.amps.tolist(), _QUARTIC_FONTS)     # M[c][x] = m[4x + c]
+    d = ((m[0], m[2]), (m[1], m[3]))                    # d[b][i] = M[2i + b][0]
+    e = [m[8 + b] + m[10 + b] for b in (0, 1)]          # M[b][2] + M[2 + b][2]
+    f = [m[4 + 2 * b] + m[5 + 2 * b] for b in (0, 1)]   # M[2b][1] + M[2b + 1][1]
+    s4 = m[12] + m[13] + m[14] + m[15]
     t_val = (_over(_square(s4), 6.0)
              - (2.0 / 3.0) * f[0] * f[1]
              + (1.0 / 3.0) * e[0] * e[1]
              - (2.0 / 3.0) * (d[0][0] * d[1][1] + d[1][0] * d[0][1]))
     p0, p1 = (0.5 * e[b] * s4 - (d[b][1] * f[0] + d[b][0] * f[1]) for b in (0, 1))
-    return _three_way(d[0], e[0]), _three_way(d[1], e[1]), t_val, p0, p1
+    return _three_way(*d[0], e[0]), _three_way(*d[1], e[1]), t_val, p0, p1
 
 
 def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
@@ -349,13 +354,8 @@ _PAIR_FONTS = {key: _pair_fonts(*pair) for pair in PAIRS4 for key in (pair, pair
 def pair_det_sum(state: PureState, pair: tuple[int, int]) -> float:
     """Sum of |det| over the four 2-way fonts of one pair (both spectators swept)."""
     check_arity(state, 4, "pair_det_sum")
-    try:
-        specs = _PAIR_FONTS[tuple(pair)]
-    except (KeyError, TypeError):
-        raise QubitOutOfRange(
-            f"pair_det_sum needs two distinct qubits of 1..4, got {pair!r}") from None
     total = 0.0
-    for spec in specs:
+    for spec in _pair_entry(_PAIR_FONTS, pair, 4, "pair_det_sum"):
         total += _modulus(font_det(state, spec))
     return float(total)
 

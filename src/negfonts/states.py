@@ -182,9 +182,11 @@ def apply_local_unitary(state: PureState, u: LocalUnitary) -> PureState:
 def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     """Relabel qubits: the qubit at position k moves to position perm[k-1]."""
     n = state.n_qubits
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(perm)
+    for p in perm:      # int() would take 1.5 and True
+        check_index(p, 1, n, "a permuted qubit", InvalidPermutation)
     if sorted(perm) != list(range(1, n + 1)):
-        raise InvalidPermutation(f"{perm} is not a permutation of 1..{n}")
+        raise InvalidPermutation(f"{tuple(map(int, perm))} is not a permutation of 1..{n}")
     # output axis j-1 receives the input axis that maps to position j
     axes = [perm.index(j) for j in range(1, n + 1)]
     vec = np.ascontiguousarray(state.tensor().transpose(axes)).reshape(-1)

@@ -140,3 +140,6 @@ def test_errors():
         catalog_state("Psi_ab", {"a": 1.0})
     with pytest.raises(MissingParameter):
         catalog_state("GHZ4", {"a": 1.0})
+    for value in ("x", None, "1"):
+        with pytest.raises(MissingParameter):
+            catalog_state("Psi_a", {"a": value})

@@ -26,9 +26,10 @@ from negfonts import (
     three_qubit_report,
     triple_invariants,
 )
-from negfonts.classify import _decide, _det_moduli, _rotated_amps
+from negfonts.classify import _decide, _rotated_amps
 from negfonts.errors import (BadBudget, BadTolerance, MissingParameter, SearchDrift,
                              UnknownFamily, WrongArity)
+from negfonts.fonts import _minors
 from negfonts.invariants import _move_last
 
 classify_module = importlib.import_module("negfonts.classify")
@@ -230,8 +231,14 @@ def test_family_expected_degenerate_lines():
 def test_family_expected_errors():
     with pytest.raises(UnknownFamily):
         family_expected("nosuch", {})
+    with pytest.raises(UnknownFamily):
+        family_expected("Psi_a", {"a": 1.0})
     with pytest.raises(MissingParameter):
         family_expected("G_abcd", {"a": 1.0})
+    # the parameters catalog_state rejects
+    for params in ({"a": "x", "b": 1}, {"a": None, "b": 1}, {"a": 1, "b": 1, "z": 1}):
+        with pytest.raises(MissingParameter):
+            family_expected("Psi_ab", params)
 
 
 def test_font_minimize_fixed_points():
@@ -503,7 +510,7 @@ def test_surrogate_kernels_match_references():
     for vec in vectors:
         state = make_state(4, vec)
         expected = [abs(font_det(state, spec)) for spec in specs]
-        np.testing.assert_allclose(_det_moduli(vec)[positions], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(_minors(vec))[positions], expected, rtol=0, atol=1e-15)
 
 
 def test_font_minimize_drift_is_typed(monkeypatch):
@@ -651,7 +658,7 @@ def _reference_rotated_amps(amps, thetas):
 
 def _reference_surrogate(amps, thetas):
     out = _reference_rotated_amps(amps, thetas)
-    return (np.cumsum(np.sqrt(_det_moduli(out)), -1)[..., -1]
+    return (np.cumsum(np.sqrt(np.abs(_minors(out))), -1)[..., -1]
             + 0.5 * np.cumsum(np.sqrt(np.abs(out)), -1)[..., -1])
 
 

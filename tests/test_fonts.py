@@ -31,7 +31,7 @@ from negfonts import (
 )
 from negfonts import fonts as fonts_module
 from negfonts.errors import QubitOutOfRange, SpecMismatch, WrongArity
-from negfonts.fonts import _det_orders, _font_indices, _font_minors, _minors
+from negfonts.fonts import _det_orders, _font_indices, _minors
 from negfonts.ptrans import _global_parts
 from negfonts.states import _amplitude_scale, _power
 
@@ -247,7 +247,7 @@ def test_minor_kernel_matches_font_det(n):
             assert sorted(positions) == list(range(len(pairs)))
             np.testing.assert_array_equal(_det_orders(n)[positions],
                                           [spec.k for spec in specs])
-            minors = _font_minors(state, p)[positions]
+            minors = _minors(state.amps, p)[positions]
             for spec, minor in zip(specs, minors):
                 i, j, i_flip, j_flip = [int(x) for x in _font_indices(n, spec)]
                 bound = 4 * eps * (a[i] * a[j] + a[i_flip] * a[j_flip])
@@ -283,7 +283,7 @@ def test_qubit_tables_gather_the_moveaxis_layout(n):
         scale = float(np.max(np.abs(state.amps)))
         for p in range(1, n + 1):
             minors = _minors(_qubit_first(state, p))
-            assert _font_minors(state, p).tobytes() == minors.tobytes(), (n, p)
+            assert _minors(state.amps, p).tobytes() == minors.tobytes(), (n, p)
             moduli = np.abs(_minors(_qubit_first(work, p)))
             for k in range(2, n + 1):
                 want = int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
@@ -336,6 +336,12 @@ def test_bad_specs_and_ranges_raise_on_every_call():
         with pytest.raises(QubitOutOfRange):
             font_det(s, FontSpec(1, (1, 2), (0,), ((3, 2),)))
     s4 = random_state(4, 0)
+    # 3.0 == 3, so a float label passes the coverage test but cannot index
+    for call in (lambda: font_det(s4, FontSpec(1, (1, 2), (0,), ((3.0, 0), (4, 0)))),
+                 lambda: font_det(s4, FontSpec(1.0, (1, 2), (0,), ((3, 0), (4, 0)))),
+                 lambda: d3(s4, (1.0, 2, 3), 0, 0)):
+        with pytest.raises(SpecMismatch):
+            call()
     for bit in (2, -1):
         for call in (lambda: d2(s4, bit, 0), lambda: d2(s4, 0, bit),
                      lambda: d3(s4, (1, 2, 3), bit, 0), lambda: d3(s4, (1, 2, 4), 0, bit),

@@ -61,6 +61,6 @@ def test_import_fills_no_cache():
     done = subprocess.run([sys.executable, "-c", CACHES], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     sizes = json.loads(done.stdout)
-    assert {"negfonts.fonts._enumerate_fonts", "negfonts.fonts._column_pairs",
+    assert {"negfonts.fonts._enumerate_fonts", "negfonts.fonts._qubit_tables",
             "negfonts.ptrans._kway_mask"} <= set(sizes)
     assert all(size == 0 for size in sizes.values()), sizes

@@ -89,7 +89,7 @@ def test_pair_sq_takes_pairs_in_either_order_and_rejects_others():
     s = random_state(3, 813)
     for pair in ((1, 2), (1, 3), (2, 3)):
         assert n_pair_sq(s, pair[::-1]) == n_pair_sq(s, pair)
-    for pair in ((1, 4), (2, 2), (0, 1), (1, 2, 3)):
+    for pair in ((1, 4), (2, 2), (0, 1), (1, 2, 3), (1.0, 2), (True, 3), (2, 3.0), None, 5):
         with pytest.raises(QubitOutOfRange):
             n_pair_sq(s, pair)
 

@@ -1,6 +1,7 @@
 """Four-qubit invariants: conditional three-way, quartic coefficients,
 degree 8/12/24 invariants, aggregate report."""
 
+import importlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,11 +19,13 @@ from helpers import (
 )
 from negfonts import (
     CATALOG,
+    FontSpec,
     aggregate_invariants,
     apply_local_unitary,
     catalog_names,
     catalog_state,
     delta24,
+    font_det,
     i26,
     i26_symmetric,
     i2_pair,
@@ -314,7 +317,8 @@ def test_pair_det_sum_takes_a_pair_in_either_order():
         assert pair_det_sum(s, (np.int64(p), np.int64(q))) == want
 
 
-@pytest.mark.parametrize("pair", [(1, 1), (0, 5), (1, 5), (1, 2, 3), (1,), 5, None])
+@pytest.mark.parametrize("pair", [(1, 1), (0, 5), (1, 5), (1, 2, 3), (1,), 5, None,
+                                  (1.0, 2), (True, 2), (3, 4.0)])
 def test_pair_det_sum_rejects_a_bad_pair(pair):
     with pytest.raises(QubitOutOfRange, match=r"pair_det_sum needs two distinct qubits"):
         pair_det_sum(random_state(4, 1823), pair)
@@ -557,3 +561,46 @@ def test_dicke42_tau48_exact_certificate():
     flipped = {q: _exact_quartic(turned[q], pair_sign=1)[1] / 6 ** 4 for q in (1, 2, 3)}
     assert flipped == {1: Fraction(25, 15552), 2: Fraction(25, 15552),
                        3: Fraction(674041, 6075000000)}
+
+
+def _m_spec(n: int, c: int, x: int) -> FontSpec:
+    """The font M[c][x] of `invariants`: qubit 1 transposed, flip set {1, 2}
+    and the qubits that x flips, qubit 2 at 0 and the rest at the bits of c."""
+    bit = {q: c >> (n - q) & 1 for q in range(3, n + 1)}
+    flips = [q for q in range(3, n + 1) if x >> (n - q) & 1]
+    return FontSpec(1, (1, 2, *flips), (0, *(bit[q] for q in flips)),
+                    tuple((q, b) for q, b in bit.items() if q not in flips))
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_invariant_dets_are_fonts(n):
+    # every det the invariants read is a canonical font of qubit 1, bit for bit
+    inv = importlib.import_module("negfonts.invariants")
+    h = 1 << (n - 2)
+    readers = {2: [(inv._I2, [(0, 0)])],
+               3: [(inv._PAIR_FONTS3[(1, 2)], [(0, 0), (1, 0), (0, 1), (1, 1)])],
+               4: [(inv._QUARTIC_FONTS, [(c, x) for x in range(4) for c in range(4)]),
+                   (inv._FOUR_WAY_FONTS, [(c, 3) for c in range(4)])]}[n]
+    assert {f for _, fonts in readers for f in fonts} == set(product(range(h), range(h)))
+    states = [random_state(n, 2100 + k) for k in range(4)]
+    states += [make_state(n, states[0].amps * scale) for scale in (3.7, 1e-200, 1e200)]
+    states += [catalog_state(name, {q: 0.7 - 0.3j for q in CATALOG[name].params})
+               for name in catalog_names() if CATALOG[name].n_qubits == n]
+    for state in states:
+        u = state.amps.tolist()
+        for read, fonts in readers:
+            got = inv._dets(u, read)
+            want = [font_det(state, _m_spec(n, c, x)) for c, x in fonts]
+            assert list(map(_hex, got)) == list(map(_hex, want)), state
+        if n == 3:
+            # the pairs (1,3) and (2,3): the fonts of the spectator-last state
+            for pair, spectator in (((1, 3), 2), ((2, 3), 1)):
+                moved = inv._move_last(state, spectator)
+                got = inv._dets(u, inv._PAIR_FONTS3[pair])
+                want = [font_det(moved, _m_spec(3, c, x))
+                        for c, x in ((0, 0), (1, 0), (0, 1), (1, 1))]
+                assert list(map(_hex, got)) == list(map(_hex, want)), (state, pair)

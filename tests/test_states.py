@@ -224,6 +224,12 @@ def test_permute_errors():
     s = random_state(3, 0)
     with pytest.raises(InvalidPermutation):
         permute_qubits(s, (1, 1, 2))
+    # int() would read 1.5 as the identity, 2.9 as a swap and True as qubit 1
+    for perm in ((1.5, 2), (2.9, 1), (True, 2)):
+        with pytest.raises(InvalidPermutation):
+            permute_qubits(random_state(2, 0), perm)
+    with pytest.raises(InvalidPermutation):
+        permute_qubits(random_state(4, 0), (True, 2, 3, 4))
 
 
 def test_random_state_determinism_and_norm():
