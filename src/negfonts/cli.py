@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 from itertools import product
@@ -95,7 +96,7 @@ def cmd_classify(args) -> int:
     state = stateio.read_state_file(args.infile)
     report = run_classify(state, tol=args.tol, use_font_min=args.font_min,
                           seed=args.seed, restarts=args.restarts, iters=args.iters)
-    return _report(args, state, {"class_report": stateio.class_report_dict(report)},
+    return _report(args, state, {"class_report": dataclasses.asdict(report)},
                    seed=args.seed if args.font_min else None)
 
 
@@ -448,18 +449,11 @@ def main(argv=None) -> int:
         # (exit 3), so numpy's own RuntimeWarnings would only add noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except WrongArity as exc:
+    except (NegfontsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARITY
-    except (SearchDrift, NonFiniteResult) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except NegfontsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, WrongArity):
+            return EXIT_ARITY
+        return EXIT_VIOLATION if isinstance(exc, (SearchDrift, NonFiniteResult)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ Seen as a 2 x 2^(n-1) matrix (rows: the bit of p, columns: the other qubits
 in order), the amplitudes have one 2x2 minor per column pair c1 < c2, and the
 canonical fonts of qubit p are exactly these minors: the font's two labels sit
 in columns c1 and c2, and its order K is popcount(c1 ^ c2) + 1.  Only
-`_minor_factors` says which four amplitudes form a minor.  `_minors` gathers
-all of qubit p's, for one vector or a batch, and the invariants read theirs
-through fixed readers built on `_minor_factors`.
+`_minor_factors` says which four amplitudes form a minor.  A `FontSpec` reads
+its four through it (its pattern and spectator bits give c1, the rest of its
+flip set c1 ^ c2); `_minors` gathers all of qubit p's, for one vector or a
+batch; and the invariants read theirs through fixed readers built on it.
 """
 
 from __future__ import annotations
@@ -106,24 +107,24 @@ def _enumerate_fonts(n: int, p: int, k: int | None) -> tuple[FontSpec, ...]:
 
 
 def _font_indices(n: int, spec: FontSpec) -> tuple[int, int, int, int]:
-    """Amplitude positions (i, j, i', j') with det = a[i] a[j] - a[i'] a[j']."""
-    qubits = set(spec.flip_set) | {q for q, _ in spec.spectators}
-    if qubits != set(range(1, n + 1)) or spec.p not in spec.flip_set:
-        raise SpecMismatch(f"spec {spec} does not cover qubits 1..{n}")
+    """Amplitude positions (i, j, i', j') with det = a[i] a[j] - a[i'] a[j']:
+    the factors of qubit p's minor (c, c ^ flips), c the column of the pattern
+    and spectator bits and flips that of the rest of the flip set."""
+    p, labels = spec.p, (*spec.flip_set, *(q for q, _ in spec.spectators))
+    # before the sort and the set test: 3.0 == 3, and "3" does not sort
+    for q in (p, *labels):
+        check_index(q, 1, n, "a font's qubit", SpecMismatch)
+    if sorted(labels) != list(range(1, n + 1)) or p not in spec.flip_set:
+        raise SpecMismatch(f"spec {spec} does not name each of the qubits 1..{n} once")
     if len(spec.pattern) != spec.k - 1:
         raise SpecMismatch("row pattern must cover the flip set minus the transposed qubit")
-    for q in (spec.p, *spec.flip_set, *(q for q, _ in spec.spectators)):
-        check_index(q, 1, n, "a font's qubit", SpecMismatch)    # 3.0 == 3 passes the set test
-    bits_i = [0] * n
-    for q, b in spec.spectators:
-        bits_i[q - 1] = b
-    others = iter(spec.pattern)
-    for q in spec.flip_set:
-        bits_i[q - 1] = 0 if q == spec.p else next(others)
-    i = index_of_bits(bits_i)               # checks every bit
-    j = i ^ sum(1 << (n - q) for q in spec.flip_set)
-    pbit = 1 << (n - spec.p)
-    return i, j, i ^ pbit, j ^ pbit
+    bits = dict([*zip([q for q in spec.flip_set if q != p], spec.pattern), *spec.spectators])
+    others = [q for q in range(1, n + 1) if q != p]
+    c = index_of_bits([bits[q] for q in others])    # checks every bit
+    flips = index_of_bits([int(q in spec.flip_set) for q in others])
+    i, j, j_flip, i_flip = _qubit_tables(n, p)[0][
+        _minor_factors(1 << (n - 1), c, c ^ flips)].tolist()
+    return i, j, i_flip, j_flip
 
 
 def font_det(state: PureState, spec: FontSpec) -> complex:
@@ -206,22 +207,30 @@ def d4(state: PureState, i3: int, i4: int) -> complex:
     return font_det(state, FontSpec(1, (1, 2, 3, 4), (0, i3, i4), ()))
 
 
-def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_TOL) -> int:
-    """Canonical order-K fonts whose |det| exceeds tol * ||amps||^2.
+# by degree d, the norms 10^(-200/d)..10^(200/d) at which degree-d values stay in range
+_NORM_WINDOW = {d: (10.0 ** (-200 / d), 10.0 ** (200 / d)) for d in (2, 4)}
 
-    The count depends on the state's direction only.  The amplitudes are read
-    as given where 1e-100 < norm < 1e100, so that the dets neither overflow
-    nor underflow, and a positive threshold stays above 1e-300; elsewhere the
-    test runs on the amplitudes divided by `_amplitude_scale`.
-    """
+
+def _zero_test(state: PureState, tol: float, degree: int) -> tuple[PureState, float]:
+    """The state a degree-d zero test reads, and its threshold tol * ||amps||^d.
+
+    The amplitudes are read as given inside the `_NORM_WINDOW` of d, while a
+    positive threshold stays above 1e-300; elsewhere they are divided by
+    `_amplitude_scale` first.  So the test depends on the direction only."""
+    norm = state.norm
+    low, high = _NORM_WINDOW[degree]
+    if not low < norm < high or (tol and tol * norm ** degree < 1e-300):
+        state = PureState(state.n_qubits, state.amps / _amplitude_scale(state.amps))
+        norm = state.norm
+    return state, tol * norm ** degree
+
+
+def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_TOL) -> int:
+    """Canonical order-K fonts whose |det| exceeds tol * ||amps||^2 (`_zero_test`)."""
     check_tolerance(tol)
     n = state.n_qubits
     enumerate_fonts(n, p, k)                # cached; checks p and k
-    norm = state.norm
-    if not 1e-100 < norm < 1e100 or (tol and tol * norm ** 2 < 1e-300):
-        state = PureState(n, state.amps / _amplitude_scale(state.amps))
-        norm = state.norm
-    threshold = tol * norm ** 2
+    state, threshold = _zero_test(state, tol, 2)
     moduli = np.abs(_minors(state.amps, p))
     return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
 

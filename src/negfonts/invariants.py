@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import QubitOutOfRange, check_arity, check_index, check_tolerance
-from .fonts import DEFAULT_TOL, FontSpec, _minor_factors, font_det
+from .fonts import DEFAULT_TOL, FontSpec, _minor_factors, _zero_test, font_det
 from .ptrans import negativity
 from .states import PureState, _power, inverse_permutation, permute_qubits
 
@@ -111,9 +111,9 @@ _PAIRS3 = ((1, 2), (1, 3), (2, 3))
 # pair, in either order, read from the view of the flat amplitudes with its
 # spectator moved last, the pair keeping its order
 _PAIR_FONTS3 = {key: _font_reader(3, ((0, 0), (1, 0), (0, 1), (1, 1)),
-                                  np.arange(8).reshape(2, 2, 2).transpose(axes).ravel())
-                for pair, axes in zip(_PAIRS3, ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
-                for key in (pair, pair[::-1])}
+                                  np.arange(8).reshape(2, 2, 2).transpose(
+                                      [q - 1 for q in (*pair, *{1, 2, 3} - {*pair})]).ravel())
+                for pair in _PAIRS3 for key in (pair, pair[::-1])}
 
 
 def _pair_entry(table: dict, pair, n: int, op: str):
@@ -190,6 +190,7 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
     w_sums = {pair: _modulus(d0) + _modulus(d1) for pair, (d0, d1, _) in terms.items()}
     w12, w13, w23 = w_sums[(1, 2)], w_sums[(1, 3)], w_sums[(2, 3)]
     n_g = negativity(state, 1)
+    work, threshold = _zero_test(state, tol, 4)     # i3 is of degree 4
     return ThreeQubitReport(
         pair_dets={pair: t[:2] for pair, t in terms.items()},
         d3_canonical=tuple(dets[(1, 2)][2:]),
@@ -197,7 +198,8 @@ def three_qubit_report(state: PureState, tol: float = DEFAULT_TOL) -> ThreeQubit
         n_global_sq=_power(n_g, 2),
         i3=i3,
         tau3=4.0 * _modulus(i3),
-        i3_is_zero=bool(_modulus(i3) <= tol * _power(float(state.norm), 4)),  # degree 4
+        i3_is_zero=bool(_modulus(i3 if work is state else three_way_invariant(work))
+                        <= threshold),
         w_sums=w_sums,
         i2_w=3.0 * (w12 * w13 + w12 * w23 + w13 * w23),
     )
@@ -366,10 +368,8 @@ def pair_det_sums(state: PureState) -> dict[tuple[int, int], float]:
 
 # i26_symmetric's four terms, one per singled-out qubit 1..4: the three pairs
 # of the other qubits, then the three pairs through the singled-out one
-_SYMMETRIC_TERMS = ((((2, 3), (2, 4), (3, 4)), ((1, 2), (1, 3), (1, 4))),
-                    (((1, 3), (1, 4), (3, 4)), ((1, 2), (2, 3), (2, 4))),
-                    (((1, 2), (1, 4), (2, 4)), ((1, 3), (2, 3), (3, 4))),
-                    (((1, 2), (1, 3), (2, 3)), ((1, 4), (2, 4), (3, 4))))
+_SYMMETRIC_TERMS = tuple((tuple(pair for pair in PAIRS4 if q not in pair),
+                          tuple(pair for pair in PAIRS4 if q in pair)) for q in (1, 2, 3, 4))
 
 
 def i26(state: PureState) -> float:

@@ -153,24 +153,6 @@ def four_report_dict(report, triple: int = 4) -> dict:
     }
 
 
-def class_report_dict(report) -> dict:
-    sig = report.signature
-    return {
-        "major_class": report.major_class,
-        "signature": {
-            "i48_zero": sig.i48_zero, "dres_zero": sig.dres_zero,
-            "delta_zero": sig.delta_zero,
-            "n2": sig.n2, "n3": sig.n3, "n4": sig.n4,
-            "i48_max": sig.i48_max, "dres_max": sig.dres_max,
-            "delta_max": sig.delta_max,
-        },
-        "minimized_state_used": report.minimized_state_used,
-        "notes": list(report.notes),
-        "tolerance": report.tolerance,
-        "tau48": report.tau48,
-    }
-
-
 def dump_report(doc: dict, stream: IO[str]) -> None:
     """Write the report as JSON; nothing is written if a value is NaN or infinite."""
     try:

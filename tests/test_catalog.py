@@ -1,10 +1,12 @@
 """Catalog amplitudes match the published coefficients exactly."""
 
+import math
+
 import numpy as np
 import pytest
 
-from negfonts import catalog_names, catalog_state, normalize
-from negfonts.errors import MissingParameter, UnknownState
+from negfonts import CATALOG, catalog_names, catalog_state, family_expected, normalize
+from negfonts.errors import MissingParameter, NonFinite, UnknownState
 from negfonts.states import index_of_bits
 
 S2 = 1 / np.sqrt(2)
@@ -143,3 +145,23 @@ def test_errors():
     for value in ("x", None, "1"):
         with pytest.raises(MissingParameter):
             catalog_state("Psi_a", {"a": value})
+    # an int beyond the float range gets the error of an infinite parameter,
+    # and the closed forms get the error of the state
+    for value in (math.inf, complex(1, math.nan), 10**400, -10**400):
+        with pytest.raises(NonFinite):
+            catalog_state("Psi_a", {"a": value})
+        with pytest.raises(NonFinite):
+            family_expected("Psi_ab", {"a": value, "b": 1})
+
+
+def test_term_tables_fit_their_qubit_count():
+    # catalog_state lays each table out on the entry's qubits by its labels
+    for name, entry in CATALOG.items():
+        args = [0.7 - 0.3j] * len(entry.params)
+        terms = entry.terms(*args)
+        assert all(len(bits) == entry.n_qubits and set(bits) <= {"0", "1"} for bits in terms)
+        state = catalog_state(name, dict(zip(entry.params, args)))
+        assert state.n_qubits == entry.n_qubits
+        assert {bits: complex(amp(state, bits)) for bits in terms} == {
+            bits: complex(value) for bits, value in terms.items()}
+        assert np.count_nonzero(state.amps) == np.count_nonzero(list(terms.values()))

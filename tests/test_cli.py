@@ -150,6 +150,12 @@ def test_classify_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["class_report"]["major_class"] == "I"
+    # report-v1 keys: the report is its dataclass, so a new field would show here
+    assert set(doc["class_report"]) == {"major_class", "signature", "minimized_state_used",
+                                        "notes", "tolerance", "tau48"}
+    assert set(doc["class_report"]["signature"]) == {
+        "i48_zero", "dres_zero", "delta_zero", "n2", "n3", "n4",
+        "i48_max", "dres_max", "delta_max"}
 
     ghz = tmp_path / "ghz.txt"
     run(capsys, "catalog", "GHZ4", "--out", str(ghz))
@@ -259,6 +265,22 @@ def test_invariants_no_normalize_underflow_exit_0(tmp_path, capsys):
     assert (code, err) == (0, "")
     head = json.loads(out)["four_qubit"]["headline"]
     assert head["j12"]["abs"] == 0 and head["delta24"]["abs"] == 0
+
+
+def test_invariants_no_normalize_tiny_ghz3_keeps_its_i3(tmp_path, capsys):
+    # i3 underflows to 0 on the raw amplitudes; the zero test reads the direction
+    path = tmp_path / "tiny.txt"
+    write_state_file(str(path), make_state(3, catalog_state("GHZ3").amps * 1e-85))
+    for flags in ((), ("--no-normalize",)):
+        code, out, err = run(capsys, "invariants", "--in", str(path), *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["three_qubit"]["i3_is_zero"] is False
+
+
+def test_missing_input_file_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "fonts", "--in", str(tmp_path / "absent.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", (

@@ -336,9 +336,12 @@ def test_bad_specs_and_ranges_raise_on_every_call():
         with pytest.raises(QubitOutOfRange):
             font_det(s, FontSpec(1, (1, 2), (0,), ((3, 2),)))
     s4 = random_state(4, 0)
-    # 3.0 == 3, so a float label passes the coverage test but cannot index
+    # 3.0 == 3, so a float label passes the coverage test but cannot index; a
+    # str label does not sort; a qubit named twice would read another font
     for call in (lambda: font_det(s4, FontSpec(1, (1, 2), (0,), ((3.0, 0), (4, 0)))),
                  lambda: font_det(s4, FontSpec(1.0, (1, 2), (0,), ((3, 0), (4, 0)))),
+                 lambda: font_det(s4, FontSpec(1, (1, 2), (0,), (("3", 0), (4, 0)))),
+                 lambda: font_det(s4, FontSpec(1, (1, 2), (0,), ((2, 1), (3, 0), (4, 0)))),
                  lambda: d3(s4, (1.0, 2, 3), 0, 0)):
         with pytest.raises(SpecMismatch):
             call()

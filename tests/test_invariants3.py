@@ -132,6 +132,15 @@ def test_w_branch_sum_invariant():
         assert after.w_sums[(1, 2)] == pytest.approx(report.w_sums[(1, 2)], abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["GHZ3", "W3"])
+def test_i3_zero_flag_depends_on_direction_only(name):
+    # i3 is of degree 4: it overflows at 1e78 and underflows to 0 at 1e-81
+    unit = three_qubit_report(normalize(catalog_state(name)))
+    for scale in (1e78, 1e-78, 1e-81, 1e150, 1e-150):
+        report = three_qubit_report(make_state(3, catalog_state(name).amps * scale))
+        assert report.i3_is_zero is unit.i3_is_zero, scale
+
+
 def test_i3_homogeneity():
     s = random_state(3, 999)
     scaled = make_state(3, 1.7 * s.amps)
