@@ -12,7 +12,7 @@ the degree-8 invariant and that residual together with the font counts of the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Mapping
 
@@ -21,9 +21,9 @@ import numpy as np
 from .catalog import catalog_args
 from .errors import (BadBudget, NonFiniteResult, SearchDrift, UnknownFamily, check_arity,
                      check_index, check_tolerance)
-from .fonts import DEFAULT_TOL, _det_orders, _minors, _qubit_tables, font_counts
-from .invariants import (_move_last, _quartic_coefficients, _quartic_invariants,
-                         aggregate_invariants, i4, i48, triple_invariants)
+from .fonts import DEFAULT_TOL, _minors, _order_mask, _qubit_tables, font_counts
+from .invariants import (TripleInvariants, _move_last, _quartic_coefficients,
+                         _quartic_invariants, aggregate_invariants, i4, i48, triple_invariants)
 from .powell import minimize
 from .states import PureState, normalize
 
@@ -235,7 +235,7 @@ class _Stall:
     """
 
     def __init__(self, threshold: float, has_four_body: bool):
-        four = _det_orders(4) == 4
+        four = _order_mask(4, 4)
         # code = (fonts of order < 4 above) + 32 * (4-way fonts above); the 24
         # lower-order fonts stay below 32, and `keys` maps each code to its
         # key, so a round costs one matmul and one lookup
@@ -265,7 +265,7 @@ def _scores(vecs: np.ndarray, tol: float, has_four_body: bool) -> np.ndarray:
     n = vecs.shape[-1].bit_length() - 1
     moduli = np.abs(_minors(vecs))
     above = moduli > tol
-    penalty = above[..., _det_orders(n) == n].any(-1) != has_four_body
+    penalty = above[..., _order_mask(n, n)].any(-1) != has_four_body
     support = (np.abs(vecs) > tol).sum(-1)
     return np.stack([above.sum(-1), penalty, _row_sums(moduli), support], -1).astype(float)
 
@@ -534,6 +534,8 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
 
 
 SWEEP_FAMILIES = ("G_abcd", "L_abc2", "L_a2b2", "L_a2_0_3p1t", "Psi_ab")
+# the names of the values `_quartic_invariants` returns: the fields after singled
+_QUARTIC_NAMES = tuple(field.name for field in fields(TripleInvariants))[1:]
 
 
 def family_expected(family: str, params: Mapping[str, complex]) -> dict:
@@ -546,7 +548,7 @@ def family_expected(family: str, params: Mapping[str, complex]) -> dict:
     except OverflowError:   # a Python power raises where a numpy one saturates
         point = ", ".join(f"{name}={value:g}" for name, value in params.items())
         raise NonFiniteResult(f"closed forms of {family} overflow at {point}") from None
-    out = _quartic_invariants(*coeffs)
+    out = dict(zip(_QUARTIC_NAMES, _quartic_invariants(*coeffs)))
     out["n_triple_sq"] = out.pop("n_sq")
     return {**out, **extra}
 

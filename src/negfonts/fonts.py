@@ -182,10 +182,36 @@ def _det_orders(n: int) -> np.ndarray:
     return _qubit_tables(n, 1)[2]
 
 
+@functools.cache
+def _order_mask(n: int, k: int) -> np.ndarray:
+    """Which of the n-qubit minors, in `_minors` order, have font order K."""
+    mask = _det_orders(n) == k
+    mask.setflags(write=False)
+    return mask
+
+
+# the specs of `d2`, `d3` and `d4` by their arguments; a spec finds its
+# positions on first use
+_D2_SPECS = {(i3, i4): FontSpec(1, (1, 2), (0,), ((3, i3), (4, i4)))
+             for i3 in (0, 1) for i4 in (0, 1)}
+_D3_SPECS = {(triple, i2, bit): FontSpec(1, triple, (i2, 0), ((spectator, bit),))
+             for triple, spectator in (((1, 2, 3), 4), ((1, 2, 4), 3))
+             for i2 in (0, 1) for bit in (0, 1)}
+_D4_SPECS = {(i3, i4): FontSpec(1, (1, 2, 3, 4), (0, i3, i4), ())
+             for i3 in (0, 1) for i4 in (0, 1)}
+
+
+def _check_bits(*bits) -> None:
+    # before the lookup, where True and 1.0 would find the specs of 1
+    for bit in bits:
+        check_index(bit, 0, 1, "bit")
+
+
 def d2(state: PureState, i3: int, i4: int) -> complex:
     """Two-way det for the pair (1,2) with spectators 3 and 4 fixed at (i3, i4)."""
     check_arity(state, 4, "d2")
-    return font_det(state, FontSpec(1, (1, 2), (0,), ((3, i3), (4, i4))))
+    _check_bits(i3, i4)
+    return font_det(state, _D2_SPECS[i3, i4])
 
 
 def d3(state: PureState, triple: tuple[int, int, int], i2: int, spectator_bit: int) -> complex:
@@ -197,14 +223,17 @@ def d3(state: PureState, triple: tuple[int, int, int], i2: int, spectator_bit: i
     triple = tuple(triple)
     if triple not in ((1, 2, 3), (1, 2, 4)):
         raise SpecMismatch(f"triple must be (1,2,3) or (1,2,4), got {triple}")
-    spectator = 4 if triple == (1, 2, 3) else 3
-    return font_det(state, FontSpec(1, triple, (i2, 0), ((spectator, spectator_bit),)))
+    for q in triple:    # 1.0 and True pass the test above
+        check_index(q, 1, 4, "a font's qubit", SpecMismatch)
+    _check_bits(i2, spectator_bit)
+    return font_det(state, _D3_SPECS[triple, i2, spectator_bit])
 
 
 def d4(state: PureState, i3: int, i4: int) -> complex:
     """Four-way det with row pattern (0, 0, i3, i4); the four are independent."""
     check_arity(state, 4, "d4")
-    return font_det(state, FontSpec(1, (1, 2, 3, 4), (0, i3, i4), ()))
+    _check_bits(i3, i4)
+    return font_det(state, _D4_SPECS[i3, i4])
 
 
 # by degree d, the norms 10^(-200/d)..10^(200/d) at which degree-d values stay in range
@@ -232,7 +261,7 @@ def count_nonzero_fonts(state: PureState, p: int, k: int, tol: float = DEFAULT_T
     enumerate_fonts(n, p, k)                # cached; checks p and k
     state, threshold = _zero_test(state, tol, 2)
     moduli = np.abs(_minors(state.amps, p))
-    return int(np.count_nonzero(moduli[_det_orders(n) == k] > threshold))
+    return int(np.count_nonzero(moduli[_order_mask(n, k)] > threshold))
 
 
 def font_counts(state: PureState, p: int, tol: float = DEFAULT_TOL) -> dict[int, int]:

@@ -15,6 +15,7 @@ spectator moved last; four build the transposition quartic from all 16.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -63,12 +64,19 @@ def _over(z: complex, d: float) -> complex:
 
 
 def _move_last(state: PureState, q: int) -> PureState:
-    """Relabel so that qubit q comes last and the others keep their order."""
+    """Relabel so that qubit q, checked to be one of 1..n, comes last and the
+    others keep their order."""
     n = state.n_qubits
     if q == n:
         return state
+    return permute_qubits(state, _last_permutation(n, q))
+
+
+@functools.cache
+def _last_permutation(n: int, q: int) -> tuple[int, ...]:
+    """The permutation of 1..n that moves qubit q last, the others keeping their order."""
     order = [x for x in range(1, n + 1) if x != q] + [q]    # old qubit at each position
-    return permute_qubits(state, inverse_permutation(order))
+    return inverse_permutation(order)
 
 
 def _font_reader(n: int, fonts, view=None) -> itemgetter:
@@ -260,10 +268,10 @@ def _quartic_coefficients(state: PureState) -> tuple[complex, ...]:
 
 
 def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
-                        p0: complex, p1: complex) -> dict:
+                        p0: complex, p1: complex) -> tuple:
     """Coefficients and invariants of the quartic with weighted coefficients
-    (i3_0, 4 P0, 6 T, 4 P1, i3_1): the fields of `TripleInvariants` but
-    `singled`.
+    (i3_0, 4 P0, 6 T, 4 P1, i3_1): the fields of `TripleInvariants` after
+    `singled`, in their order.
 
     The algebra runs on Python complex numbers and gives numpy complex128's
     bits: powers are the products numpy forms, moduli and squared moduli
@@ -276,13 +284,8 @@ def _quartic_invariants(i3_0: complex, i3_1: complex, t: complex,
     n_sq = (_power(_modulus(i3_0), 2) + _power(_modulus(i3_1), 2)
             + 6 * _power(_modulus(t), 2)
             + 4 * _power(_modulus(p0), 2) + 4 * _power(_modulus(p1), 2))
-    return {
-        "i3_0": i3_0, "i3_1": i3_1, "t": t, "p0": p0, "p1": p1,
-        "i48": val48, "j12": val_j,
-        "delta24": _cube(val48) - 27 * _square(val_j),
-        "n_sq": n_sq,
-        "dres": n_sq - 2 * _modulus(val48),
-    }
+    return (i3_0, i3_1, t, p0, p1, val48, val_j, _cube(val48) - 27 * _square(val_j),
+            n_sq, n_sq - 2 * _modulus(val48))
 
 
 def i3_conditional(state: PureState, i4bit: int) -> complex:
@@ -339,7 +342,7 @@ def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:
     check_arity(state, 4, "triple_invariants")
     check_index(singled, 1, 4, "singled")
     coeffs = _quartic_coefficients(_move_last(state, singled))
-    return TripleInvariants(singled=singled, **_quartic_invariants(*coeffs))
+    return TripleInvariants(singled, *_quartic_invariants(*coeffs))
 
 
 def _pair_fonts(p: int, q: int) -> tuple:
@@ -398,7 +401,7 @@ def i26_symmetric(state: PureState) -> float:
 
 def tau48_from_i48(value: complex) -> float:
     """Monotone 4*sqrt(12*|i48|), normalized to 1 on maximal four-body correlation."""
-    return float(4.0 * np.sqrt(12.0 * _modulus(value)))
+    return 4.0 * math.sqrt(12.0 * _modulus(value))
 
 
 @dataclass(frozen=True)

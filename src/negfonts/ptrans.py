@@ -42,30 +42,43 @@ def _kway_mask(n: int, p: int, k: int) -> np.ndarray:
     return mask
 
 
-def _axes(rho: np.ndarray, n: int, p: int) -> np.ndarray:
-    """rho viewed with axes (row, col) = (before p, p, after p) x 2."""
+@functools.cache
+def _pt_table(n: int, p: int, k: int | None) -> np.ndarray:
+    """Flat position in rho of each entry of its transpose over qubit p: the
+    global one for k None, else the K-way one.  The smallest unsigned dtype
+    holds the positions, which keeps the n=6 tables at 8 KB each."""
+    dim = 1 << n
+    a, b = 1 << (p - 1), 1 << (n - p)
+    flat = np.arange(dim * dim, dtype=np.min_scalar_type(dim * dim - 1))
+    # swapping the two p axes swaps the p-bits where they differ and leaves
+    # the rest in place
+    table = flat.reshape(a, 2, b, a, 2, b).swapaxes(1, 4).reshape(-1)
+    if k is not None:
+        table = np.where(_kway_mask(n, p, k).reshape(-1), table, flat)
+    table.setflags(write=False)
+    return table
+
+
+def _transposed(rho: np.ndarray, n: int, p: int, k: int | None) -> np.ndarray:
+    """rho gathered through `_pt_table(n, p, k)`, once p and its shape are checked."""
     check_index(p, 1, n, "qubit")
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise QubitOutOfRange(f"matrix shape {rho.shape} does not match n={n}")
-    a, b = 1 << (p - 1), 1 << (n - p)
-    return rho.reshape(a, 2, b, a, 2, b)
+    # `take` casts the small table to intp faster than an index expression does
+    return rho.reshape(-1).take(_pt_table(n, p, k)).reshape(rho.shape)
 
 
 def global_pt(rho: np.ndarray, p: int, n: int) -> np.ndarray:
     """Partial transpose over qubit p: swap the p-bits of row and column labels."""
-    # swapping the two p axes swaps the p-bits where they differ and leaves
-    # the rest in place
-    return _axes(rho, n, p).swapaxes(1, 4).reshape(rho.shape)
+    return _transposed(rho, n, p, None)
 
 
 def kway_pt(rho: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
     """Selective transpose over qubit p of the elements of coherence order K
     (orders 1 and 2 for k == 2); everything else is copied."""
     check_index(k, 2, n, "K", BadK)
-    view = _axes(rho, n, p)                 # checks p first
-    mask = _kway_mask(n, p, k).reshape(view.shape)
-    return np.where(mask, view.swapaxes(1, 4), view).reshape(rho.shape)
+    return _transposed(rho, n, p, k)
 
 
 def decomposition_residual(state: PureState, p: int) -> float:

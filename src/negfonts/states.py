@@ -7,6 +7,7 @@ Reshaping the vector to shape (2,)*n therefore maps qubit k to axis k-1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -84,7 +85,7 @@ class PureState:
         """
         with np.errstate(over="ignore", under="ignore"):
             norm = np.linalg.norm(self.amps)
-            if norm == 0.0 or np.isinf(norm):
+            if norm == 0.0 or norm == math.inf:    # see _amplitude_scale
                 scale = _amplitude_scale(self.amps)
                 if scale > 0.0:
                     norm = scale * np.linalg.norm(self.amps / scale)
@@ -187,11 +188,20 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
         check_index(p, 1, n, "a permuted qubit", InvalidPermutation)
     if sorted(perm) != list(range(1, n + 1)):
         raise InvalidPermutation(f"{tuple(map(int, perm))} is not a permutation of 1..{n}")
-    # output axis j-1 receives the input axis that maps to position j
-    axes = [perm.index(j) for j in range(1, n + 1)]
-    vec = np.ascontiguousarray(state.tensor().transpose(axes)).reshape(-1)
+    vec = state.amps[_permutation_table(n, perm)]
     vec.setflags(write=False)
     return PureState(n, vec)
+
+
+@functools.cache
+def _permutation_table(n: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Position in the input amplitudes of each amplitude of the permuted
+    state, for a checked permutation of 1..n."""
+    # output axis j-1 receives the input axis that maps to position j
+    axes = [perm.index(j) for j in range(1, n + 1)]
+    table = np.arange(1 << n).reshape((2,) * n).transpose(axes).reshape(-1)
+    table.setflags(write=False)
+    return table
 
 
 def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Font enumeration, determinants, named accessors, counts."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -342,14 +343,18 @@ def test_bad_specs_and_ranges_raise_on_every_call():
                  lambda: font_det(s4, FontSpec(1.0, (1, 2), (0,), ((3, 0), (4, 0)))),
                  lambda: font_det(s4, FontSpec(1, (1, 2), (0,), (("3", 0), (4, 0)))),
                  lambda: font_det(s4, FontSpec(1, (1, 2), (0,), ((2, 1), (3, 0), (4, 0)))),
-                 lambda: d3(s4, (1.0, 2, 3), 0, 0)):
+                 lambda: d3(s4, (1.0, 2, 3), 0, 0),
+                 lambda: d3(s4, (True, 2, 4), 0, 0)):
         with pytest.raises(SpecMismatch):
             call()
-    for bit in (2, -1):
+    # the specs of `d2`, `d3` and `d4` are kept by bit: True and 1.0 would find
+    # those of 1, and 2 would find none
+    for bit in (2, -1, True, 1.0, "0"):
         for call in (lambda: d2(s4, bit, 0), lambda: d2(s4, 0, bit),
                      lambda: d3(s4, (1, 2, 3), bit, 0), lambda: d3(s4, (1, 2, 4), 0, bit),
                      lambda: d4(s4, bit, 0), lambda: d4(s4, 0, bit)):
-            with pytest.raises(QubitOutOfRange):
+            with pytest.raises(QubitOutOfRange,
+                               match=f"^bit must be an integer in 0..1, got {re.escape(repr(bit))}$"):
                 call()
     # a bad call leaves nothing in the cache, cold or warm
     fonts_module._enumerate_fonts.cache_clear()

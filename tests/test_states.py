@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from negfonts import (
     random_special_unitary,
     random_state,
 )
+from negfonts import states as states_module
 from negfonts.errors import (
     DimensionMismatch,
     InvalidPermutation,
@@ -230,6 +232,40 @@ def test_permute_errors():
             permute_qubits(random_state(2, 0), perm)
     with pytest.raises(InvalidPermutation):
         permute_qubits(random_state(4, 0), (True, 2, 3, 4))
+
+
+def _transposed(state, perm):
+    """`permute_qubits` as an axis transpose: output axis j-1 takes the input
+    axis that maps to position j."""
+    axes = [perm.index(j) for j in range(1, state.n_qubits + 1)]
+    return np.ascontiguousarray(state.tensor().transpose(axes)).reshape(-1)
+
+
+def test_permute_matches_the_axis_transpose_byte_for_byte():
+    rng = np.random.default_rng(8231)
+    perms = {n: list(permutations(range(1, n + 1))) for n in (2, 3, 4)}
+    # numpy integers, as a caller's array would hold them
+    perms.update({n: [tuple(rng.permutation(n) + 1) for _ in range(20)] for n in (5, 6)})
+    for n, group in perms.items():
+        haar = random_state(n, (8233, n))
+        for scale in (1.0, 1e200, 1e-200):
+            s = make_state(n, haar.amps * scale)
+            for perm in group:
+                out = permute_qubits(s, perm)
+                assert out.amps.tobytes() == _transposed(s, perm).tobytes()
+                assert not out.amps.flags.writeable
+
+
+def test_bad_permutations_leave_the_table_cache_alone():
+    s = random_state(4, 0)
+    permute_qubits(s, (2, 1, 3, 4))
+    size = states_module._permutation_table.cache_info().currsize
+    for perm in ((1.0, 2, 3, 4), (True, 2, 3, 4), (2, 1, 1, 4), (0, 2, 3, 4),
+                 (1, 2, 3, 5), (1, 2, 3), (1, 2, 3, 4, 5)):
+        for _ in range(2):
+            with pytest.raises(InvalidPermutation):
+                permute_qubits(s, perm)
+    assert states_module._permutation_table.cache_info().currsize == size
 
 
 def test_random_state_determinism_and_norm():
