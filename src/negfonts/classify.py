@@ -12,7 +12,7 @@ the degree-8 invariant and that residual together with the font counts of the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
@@ -22,7 +22,7 @@ from .catalog import catalog_args
 from .errors import (BadBudget, NonFiniteResult, SearchDrift, UnknownFamily, check_arity,
                      check_index, check_tolerance)
 from .fonts import DEFAULT_TOL, _minors, _order_mask, _qubit_tables, font_counts
-from .invariants import (TripleInvariants, _move_last, _quartic_coefficients,
+from .invariants import (_QUARTIC_FIELDS, _move_last, _quartic_coefficients,
                          _quartic_invariants, aggregate_invariants, i4, i48, triple_invariants)
 from .powell import minimize
 from .states import PureState, normalize
@@ -534,8 +534,6 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
 
 
 SWEEP_FAMILIES = ("G_abcd", "L_abc2", "L_a2b2", "L_a2_0_3p1t", "Psi_ab")
-# the names of the values `_quartic_invariants` returns: the fields after singled
-_QUARTIC_NAMES = tuple(field.name for field in fields(TripleInvariants))[1:]
 
 
 def family_expected(family: str, params: Mapping[str, complex]) -> dict:
@@ -548,7 +546,7 @@ def family_expected(family: str, params: Mapping[str, complex]) -> dict:
     except OverflowError:   # a Python power raises where a numpy one saturates
         point = ", ".join(f"{name}={value:g}" for name, value in params.items())
         raise NonFiniteResult(f"closed forms of {family} overflow at {point}") from None
-    out = dict(zip(_QUARTIC_NAMES, _quartic_invariants(*coeffs)))
+    out = dict(zip(_QUARTIC_FIELDS, _quartic_invariants(*coeffs)))
     out["n_triple_sq"] = out.pop("n_sq")
     return {**out, **extra}
 

@@ -190,28 +190,10 @@ def _order_mask(n: int, k: int) -> np.ndarray:
     return mask
 
 
-# the specs of `d2`, `d3` and `d4` by their arguments; a spec finds its
-# positions on first use
-_D2_SPECS = {(i3, i4): FontSpec(1, (1, 2), (0,), ((3, i3), (4, i4)))
-             for i3 in (0, 1) for i4 in (0, 1)}
-_D3_SPECS = {(triple, i2, bit): FontSpec(1, triple, (i2, 0), ((spectator, bit),))
-             for triple, spectator in (((1, 2, 3), 4), ((1, 2, 4), 3))
-             for i2 in (0, 1) for bit in (0, 1)}
-_D4_SPECS = {(i3, i4): FontSpec(1, (1, 2, 3, 4), (0, i3, i4), ())
-             for i3 in (0, 1) for i4 in (0, 1)}
-
-
-def _check_bits(*bits) -> None:
-    # before the lookup, where True and 1.0 would find the specs of 1
-    for bit in bits:
-        check_index(bit, 0, 1, "bit")
-
-
 def d2(state: PureState, i3: int, i4: int) -> complex:
     """Two-way det for the pair (1,2) with spectators 3 and 4 fixed at (i3, i4)."""
     check_arity(state, 4, "d2")
-    _check_bits(i3, i4)
-    return font_det(state, _D2_SPECS[i3, i4])
+    return font_det(state, FontSpec(1, (1, 2), (0,), ((3, i3), (4, i4))))
 
 
 def d3(state: PureState, triple: tuple[int, int, int], i2: int, spectator_bit: int) -> complex:
@@ -223,17 +205,14 @@ def d3(state: PureState, triple: tuple[int, int, int], i2: int, spectator_bit: i
     triple = tuple(triple)
     if triple not in ((1, 2, 3), (1, 2, 4)):
         raise SpecMismatch(f"triple must be (1,2,3) or (1,2,4), got {triple}")
-    for q in triple:    # 1.0 and True pass the test above
-        check_index(q, 1, 4, "a font's qubit", SpecMismatch)
-    _check_bits(i2, spectator_bit)
-    return font_det(state, _D3_SPECS[triple, i2, spectator_bit])
+    spectator = 4 if triple == (1, 2, 3) else 3
+    return font_det(state, FontSpec(1, triple, (i2, 0), ((spectator, spectator_bit),)))
 
 
 def d4(state: PureState, i3: int, i4: int) -> complex:
     """Four-way det with row pattern (0, 0, i3, i4); the four are independent."""
     check_arity(state, 4, "d4")
-    _check_bits(i3, i4)
-    return font_det(state, _D4_SPECS[i3, i4])
+    return font_det(state, FontSpec(1, (1, 2, 3, 4), (0, i3, i4), ()))
 
 
 # by degree d, the norms 10^(-200/d)..10^(200/d) at which degree-d values stay in range

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from operator import itemgetter
 
@@ -336,6 +336,10 @@ class TripleInvariants:
     delta24: complex
     n_sq: float
     dres: float                 # n_sq - 2*|i48|: residual three-way correlations
+
+
+# the names of the values `_quartic_invariants` returns: the fields after singled
+_QUARTIC_FIELDS = tuple(field.name for field in fields(TripleInvariants))[1:]
 
 
 def triple_invariants(state: PureState, singled: int = 4) -> TripleInvariants:

@@ -347,8 +347,7 @@ def test_bad_specs_and_ranges_raise_on_every_call():
                  lambda: d3(s4, (True, 2, 4), 0, 0)):
         with pytest.raises(SpecMismatch):
             call()
-    # the specs of `d2`, `d3` and `d4` are kept by bit: True and 1.0 would find
-    # those of 1, and 2 would find none
+    # True and 1.0 equal 1 but are not bits
     for bit in (2, -1, True, 1.0, "0"):
         for call in (lambda: d2(s4, bit, 0), lambda: d2(s4, 0, bit),
                      lambda: d3(s4, (1, 2, 3), bit, 0), lambda: d3(s4, (1, 2, 4), 0, bit),
