@@ -135,7 +135,9 @@ def _exponent_table() -> np.ndarray:
     exp(1j * thetas @ table) holds the phase Rz(g) puts on each basis index,
     the phase Rz(a) puts on each basis index, and exp(1j * b / 2) of each
     qubit.  Rz(t) on qubit q multiplies amplitude k by exp(1j * t * (bit - 1/2))
-    for bit q of k.
+    for bit q of k.  `_rotated_amps` reads the Rz(a) columns from
+    `_A_EXPONENTS` and the other 20 from `_GB_EXPONENTS`, so a caller can form
+    the Rz(a) phases once for angles whose a components do not change.
     """
     half_bits = ((np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1) - 0.5
     table = np.zeros((4, 3, 36))
@@ -146,6 +148,9 @@ def _exponent_table() -> np.ndarray:
 
 
 _EXPONENTS = _exponent_table()
+# all 12 rows stay in both tables: the zero products set the signed zeros
+_A_EXPONENTS = np.ascontiguousarray(_EXPONENTS[:, 16:32])
+_GB_EXPONENTS = np.delete(_EXPONENTS, np.s_[16:32], 1)
 
 
 def _ry_kron_index(qa: int, qb: int) -> np.ndarray:
@@ -158,10 +163,11 @@ def _ry_kron_index(qa: int, qb: int) -> np.ndarray:
 
 # L = Ry1 x Ry2 and R^T = (Ry3 x Ry4)^T, as pairs of factor indices
 _KRON = np.stack([_ry_kron_index(0, 1), _ry_kron_index(2, 3).swapaxes(-1, -2)])
-# the same factors read from the exponentials seen as floats, where the cosine
-# and sine of qubit q's half angle are floats 64 + 2q and 65 + 2q, and the
-# sign of each entry of L and R^T, which is where the -sin factors went
-_KRON_FLOATS = 64 + 2 * (_KRON % 4) + (_KRON >= 4)
+# the same factors read from the `_GB_EXPONENTS` exponentials seen as floats,
+# where the cosine and sine of qubit q's half angle are floats 32 + 2q and
+# 33 + 2q, and the sign of each entry of L and R^T, which is where the -sin
+# factors went
+_KRON_FLOATS = 32 + 2 * (_KRON % 4) + (_KRON >= 4)
 _KRON_SIGNS = np.where(_KRON >= 8, -1.0, 1.0).prod(1)
 
 # Rz(a) is the outermost factor of each qubit's rotation and only puts phases
@@ -171,13 +177,22 @@ _KRON_SIGNS = np.where(_KRON >= 8, -1.0, 1.0).prod(1)
 _SEARCHED = np.eye(12)[np.arange(12) % 3 != 0]
 
 
-def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _a_phases(thetas: np.ndarray) -> np.ndarray:
+    """The phases Rz(a) puts on each basis index: (..., 12) angles -> (..., 16)."""
+    return np.exp(1j * np.einsum("...i,ij->...j", thetas, _A_EXPONENTS))
+
+
+def _rotated_amps(amps: np.ndarray, thetas: np.ndarray,
+                  a_phases: np.ndarray | None = None) -> np.ndarray:
     """Four-qubit amplitudes after Rz(a) Ry(b) Rz(g) on each qubit.
 
     `thetas` holds (a, b, g) for qubits 1-4 on its last axis: (..., 12) ->
     (..., 16).  The z-rotations only multiply amplitudes by phases, Rz(g)
-    before and Rz(a) after the y-rotations; one `exp` of the angles times
-    `_EXPONENTS` gives those phases and the half-angle cosines and sines.
+    before and Rz(a) after the y-rotations.  One `exp` of the angles times
+    `_GB_EXPONENTS` gives the Rz(g) phases and the half-angle cosines and
+    sines; the Rz(a) phases are `a_phases`, by default `_a_phases(thetas)`.
+    Phases formed from other angles with the same a components give the same
+    values, though a zero may differ in sign.
     The y-rotations are real: with the amplitudes as a 4x4 matrix X (rows:
     qubits 1-2, columns: qubits 3-4), (Y1 x Y2 x Y3 x Y4) vec(X) is
     vec(L X R^T) for L = Y1 x Y2 and R = Y3 x Y4, so the 16x16 product is
@@ -185,15 +200,17 @@ def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """
     thetas = np.asarray(thetas, dtype=float)
     lead = thetas.shape[:-1]
+    if a_phases is None:
+        a_phases = _a_phases(thetas)
     # einsum without `optimize` calls no BLAS and adds the 12 terms in order:
     # each row's exponents then do not depend on how many rows share the call
-    z = np.exp(1j * np.einsum("...i,ij->...j", thetas, _EXPONENTS))
+    z = np.exp(1j * np.einsum("...i,ij->...j", thetas, _GB_EXPONENTS))
     factors = z.view(float)[..., _KRON_FLOATS]
     # the matmuls would cast the real factors to complex, each on its own
     kron = (factors[..., 0, :, :] * factors[..., 1, :, :] * _KRON_SIGNS).astype(complex)
     x = (z[..., :16] * amps).reshape(lead + (4, 4))
     rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
-    return z[..., 16:32] * rotated.reshape(lead + (16,))
+    return a_phases * rotated.reshape(lead + (16,))
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -203,14 +220,16 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None) -> np.ndarray:
+def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None,
+               a_phases: np.ndarray | None = None) -> np.ndarray:
     """The smooth objective Powell minimizes, (..., 12) angles -> (...) values.
 
-    `watch`, when given, is shown the minor moduli of the rotated frames.
+    `watch`, when given, is shown the minor moduli of the rotated frames;
+    `a_phases` goes to `_rotated_amps`.
     """
     # sqrt concentrates weight near zero, favoring sparse det profiles; the
     # amplitude term steers ties toward frames with few product terms
-    out = _rotated_amps(amps, thetas)
+    out = _rotated_amps(amps, thetas, a_phases)
     moduli = np.abs(_minors(out))
     if watch is not None:
         watch(moduli)
@@ -501,8 +520,19 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     # Powell's fixed tolerances are moderate; they suffice because the sqrt
     # surrogate keeps shrinking visibly until dets sit well below `tol`
     stall = _Stall(tol, has_four_body)
-    result = minimize(lambda thetas: _surrogate(amps, thetas, stall.watch), starts,
-                      maxiter=iters, direc=_SEARCHED, stop=stall)
+    # no search direction moves an a angle, and `minimize` passes the pending
+    # starts in start order and never brings back one that ended: while the
+    # row count holds, the Rz(a) phases of the rows do too
+    a_phases = np.empty((0, 16), dtype=complex)
+
+    def surrogate(thetas: np.ndarray) -> np.ndarray:
+        nonlocal a_phases
+        if len(thetas) != len(a_phases):
+            a_phases = _a_phases(thetas)
+        return _surrogate(amps, thetas, stall.watch, a_phases)
+
+    result = minimize(surrogate, starts, maxiter=iters, direc=_SEARCHED, stop=stall)
+    # fresh phases: cached ones may differ from them in the sign of a zero
     vecs = _rotated_amps(amps, result.x)
     for restart, (vec, score) in enumerate(zip(vecs, scores(vecs))):
         candidate = _row(score)

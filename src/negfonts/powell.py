@@ -231,7 +231,10 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc
     an independent search with its own copy of `direc` (default: the n unit
     vectors); a start that searches fewer directions than n keeps its other
     coordinates fixed.  Each round evaluates the pending points of all
-    unfinished starts in one `fun` call.
+    unfinished starts in one `fun` call, one row per start in start order; a
+    start that ends never comes back, so a call with as many rows as the one
+    before it is for the same starts.  `font_minimize` relies on this to
+    form the phases of its fixed a angles once per set of pending starts.
 
     `stop`, when given, is called after every round; once it returns True,
     the unfinished starts end at the lowest point they have evaluated.

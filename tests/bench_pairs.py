@@ -1,15 +1,23 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on a benchmark workload, in alternating pairs.
 
     python3 tests/bench_pairs.py PARENT CHANGE --workload invariants --pairs 10 --seed 1211
 
 PARENT and CHANGE are the roots of two checkouts.  Each pair runs each side's
 own `bench/run.py --trace 0` once, for the `run_seconds` of CHANGE's
-BENCHMARK.json; the side that runs first alternates from pair to pair.  For
-each end-to-end metric of that file the script prints both sides' medians and
-quartiles, and how many pairs the change won in the metric's `better`
-direction (ties count for neither side).  A gain holds when the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.
+BENCHMARK.json; the side that runs first alternates from pair to pair.  With
+`--workload all` one run covers every workload, and `bench/run.py` prefixes
+each metric `<workload>.`.  For each end-to-end metric the script prints both
+sides' medians and quartiles, how many pairs the change won in the metric's
+`better` direction (ties count for neither side), and a verdict judged with
+the `better` and `bound` of the metric's entry in BENCHMARK.json:
+
+- REGRESSION: the change's median is worse than the parent's by more than
+  the bound;
+- GAIN: the change wins at least nine tenths of the pairs and the medians
+  differ by more than the distance between the parent's quartiles;
+- UNRESOLVED: the parent's quartiles lie further apart than the bound, and
+  not every change run beats every parent run, so the runs spread too widely
+  to tell a change within the bound from noise.
 
 Bytecode on one side only lowers that side's `peak_rss_mb`, so every
 `__pycache__` under either checkout is deleted before each run, and the runs
@@ -61,6 +69,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """REGRESSION, GAIN, UNRESOLVED or "" for one metric's runs, paired in order."""
+    sign = 1 if better == "higher" else -1
+    p1, pm, p3 = quartiles(parent)
+    cm = statistics.median(change)
+    if sign * (pm - cm) > bound * abs(pm):
+        return "REGRESSION"
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if won >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1:
+        return "GAIN"
+    if p3 - p1 > bound * abs(pm) and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "UNRESOLVED"
+    return ""
+
+
+def end_to_end(run: dict, bench: dict) -> dict:
+    """The end-to-end metrics of a run, bare or prefixed `<workload>.`, each
+    with the BENCHMARK.json entry of its bare name."""
+    spec = {m["name"]: m for m in bench["end_to_end"]}
+    return {name: spec[name.rpartition(".")[2]] for name in run
+            if name.rpartition(".")[2] in spec}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -73,7 +104,6 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -83,22 +113,23 @@ def main(argv=None) -> int:
                 purge_bytecode(root)
             runs[side].append(run_once(roots[side], args.workload, args.seed,
                                        bench["run_seconds"]))
+        metrics = end_to_end(runs["change"][-1], bench)
         print(f"pair {pair + 1}: " + "  ".join(
             f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
-            for name in better), flush=True)
+            for name in metrics), flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{bench['run_seconds']} s runs; median [q1, q3]")
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-        gain = won >= 0.9 * args.pairs and sign * (cm - pm) > p3 - p1
+        tag = verdict(parent, change, metric["better"], metric["bound"])
         print(f"{name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
               f"[{c1:.6g}, {c3:.6g}]  change {cm / pm - 1:+.2%}, won {won} of "
-              f"{args.pairs}{'  GAIN' if gain else ''}")
+              f"{args.pairs}{'  ' + tag if tag else ''}")
     # the runner keeps a record per op, so peak_rss_mb grows with this count
     print("attempted ops: parent {:g}, change {:g} (medians)".format(
         *(statistics.median(r["attempted"] for r in runs[side]) for side in runs)))

@@ -691,6 +691,52 @@ def test_surrogate_rows_do_not_depend_on_the_batch_bit_for_bit():
                     assert _bits(batch) == _bits(alone[start:start + size])
 
 
+def test_split_rotation_matches_bit_for_bit():
+    # the font search forms the Rz(a) phases once from its start rows and
+    # hands them to every later round; the a angles never move, so those
+    # phases must give the surrogate's bits, and the default phases the
+    # bits of the one-table rotation
+    rng = np.random.default_rng(4237)
+    states = [random_state(4, 4237)]
+    states += [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
+    a_phases = classify_module._a_phases
+    for state in states:
+        amps = state.amps
+        for shape in [(12,), (1, 12), (4, 12), (16, 12)] * 200:
+            thetas = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+            rows = thetas.reshape(-1, 12)
+            rows[::3, ::3] = 0.0                # some rows have a = 0
+            starts = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+            starts.reshape(-1, 12)[:, ::3] = rows[:, ::3]
+            rotated = _rotated_amps(amps, thetas)
+            assert _bits(rotated) == _bits(_rotated_amps(amps, thetas, a_phases(thetas)))
+            assert _bits(rotated) == _bits(_reference_rotated_amps(amps, thetas))
+            # phases of other b and g give the same values, up to signed zeros
+            np.testing.assert_array_equal(
+                _rotated_amps(amps, thetas, a_phases(starts)), rotated)
+            values = classify_module._surrogate(amps, thetas)
+            assert _bits(values) == _bits(classify_module._surrogate(amps, thetas, None,
+                                                                     a_phases(starts)))
+
+
+
+def test_font_search_hands_each_round_the_a_phases_of_its_rows(monkeypatch):
+    # the search keeps its Rz(a) phases while the pending starts stay the
+    # same; here restarts end at different rounds, so they are formed anew
+    seen = []
+    surrogate = classify_module._surrogate
+
+    def spy(amps, thetas, watch=None, a_phases=None):
+        seen.append(len(thetas))
+        np.testing.assert_array_equal(a_phases, classify_module._a_phases(thetas))
+        return surrogate(amps, thetas, watch, a_phases)
+
+    monkeypatch.setattr(classify_module, "_surrogate", spy)
+    state = scramble_special(normalize(catalog_state("C1")), (4241, 0))
+    font_minimize(state, restarts=16, iters=2)
+    assert seen[0] == 16 and len(set(seen)) > 2
+
+
 # four-qubit catalog states, with parameters for the families: c07's points
 _START_FRAME_CATALOG = [
     *[(name, None) for name in ("GHZ4", "W4", "C1", "C2", "C3", "Dicke42", "HS", "BrownPhi")],

@@ -123,6 +123,37 @@ def test_a_stop_hook_ends_every_start_at_its_lowest_point(after):
     assert np.all(result.nit <= OPTIONS["maxiter"])
 
 
+def test_pending_starts_keep_their_order_and_their_a_columns():
+    # the font search forms its Rz(a) phases once per row count; that holds
+    # because the rows of a call are the unfinished starts in start order,
+    # and no search direction moves an a angle
+    ghz = normalize(catalog_state("GHZ4"))
+    state = scramble_special(ghz, (4127, 95))
+    calls = []
+
+    def surrogate(thetas):
+        calls.append(thetas.copy())
+        return classify_module._surrogate(state.amps, thetas)
+
+    starts = np.random.default_rng(4137).uniform(0, 2 * np.pi, (5, 12))
+    starts[0] = 0.0
+    result = minimize(surrogate, starts, maxiter=2, direc=classify_module._SEARCHED,
+                      stop=lambda: len(calls[-1]) == 2)
+    sizes = [len(points) for points in calls]
+    assert result.rounds == len(calls)
+    # three starts ended on their own, and the stop hook ended the others
+    assert sizes[0] == 5 and sizes[-1] == 2 and sorted(set(sizes)) == [2, 3, 4, 5]
+    assert sizes.count(2) == 1 and (result.nit < 2).any()
+    assert sizes == sorted(sizes, reverse=True)
+    columns = [row.tobytes() for row in starts[:, ::3]]
+    by_size = {}
+    for points in calls:
+        rows = iter(columns)
+        assert all(row.tobytes() in rows for row in points[:, ::3])
+        assert by_size.setdefault(len(points), points[:, ::3].tobytes()) == \
+            points[:, ::3].tobytes()
+
+
 def reference_minimize(fun, x0, *, maxiter, direc=None, stop=None):
     """The lock-step driver as first written: each start's pending point is a
     triple (p, xi, alpha), and a round stacks the triples column by column.
