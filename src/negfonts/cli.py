@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import sys
 from itertools import product
 
@@ -51,6 +52,7 @@ EXIT_VIOLATION = 3
 EXIT_ARITY = 4
 
 SCHEMA = "negfonts/report-v1"
+_MAX_GRID_POINTS = 100_000  # a sweep keeps its rows until the CSV is written
 
 
 def _write(out: str | None, text: str) -> None:
@@ -144,14 +146,26 @@ def cmd_fonts(args) -> int:
     return _report(args, state, {"fonts": payload})
 
 
-def _parse_param(text: str) -> tuple[str, complex]:
-    if "=" not in text:
-        raise BadGrid(f"parameter {text!r} is not of the form name=value")
-    name, value = text.split("=", 1)
+def _named(texts: list[str], form: str) -> dict[str, str]:
+    """Each NAME=VALUE argument, split at its first '=', as {stripped name: value
+    text}; all are checked for '=' and repeats before a name or value is read."""
+    named = {}
+    for text in texts:
+        if "=" not in text:
+            raise BadGrid(f"parameter {text!r} is not of the form {form}")
+        name, value = text.split("=", 1)
+        name = name.strip()
+        if name in named:
+            raise BadGrid(f"parameter {name!r} given twice")
+        named[name] = value
+    return named
+
+
+def _number(text: str) -> complex:
     try:
-        return name.strip(), complex(value)
+        return complex(text)
     except ValueError:
-        raise BadGrid(f"cannot parse {value!r} as a number") from None
+        raise BadGrid(f"cannot parse {text!r} as a number") from None
 
 
 def cmd_catalog(args) -> int:
@@ -163,12 +177,8 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     if not args.name:
         raise UnknownState("no state name given (use --list to see the catalog)")
-    params = {}
-    for name, value in map(_parse_param, [*args.params, *args.param]):
-        if name in params:
-            raise BadGrid(f"parameter {name!r} given twice")
-        params[name] = value
-    state = cat.catalog_state(args.name, params)
+    named = _named([*args.params, *args.param], "name=value")
+    state = cat.catalog_state(args.name, {p: _number(v) for p, v in named.items()})
     if args.normalize:
         state = normalize(state)
     if args.out:
@@ -189,19 +199,18 @@ def _parse_grid_values(text: str) -> list[complex]:
             raise BadGrid(f"bad range {text!r}") from None
         if count < 1:
             raise BadGrid(f"range {text!r} has no points")
+        if count > _MAX_GRID_POINTS:
+            raise BadGrid(f"range {text!r} has more than {_MAX_GRID_POINTS} points")
         return [complex(v) for v in np.linspace(start, stop, count)]
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            values.append(complex(piece))
-        except ValueError:
-            raise BadGrid(f"cannot parse {piece!r} as a number") from None
+    values = [_number(piece.strip()) for piece in text.split(",") if piece.strip()]
     if not values:
         raise BadGrid(f"no values in {text!r}")
     return values
+
+
+# (CSV column, TripleInvariants field, degree in the amplitudes)
+_SWEEP_QUANTITIES = (("i48", "i48", 8), ("n_triple_sq", "n_sq", 8),
+                     ("dres", "dres", 8), ("delta24", "delta24", 24))
 
 
 def cmd_sweep(args) -> int:
@@ -210,28 +219,19 @@ def cmd_sweep(args) -> int:
         raise UnknownFamily(
             f"unknown family {family!r}; known: {', '.join(SWEEP_FAMILIES)}")
     param_names = cat.CATALOG[family].params
-    grid_axes: dict[str, list[complex]] = {}
-    for spec in args.param:
-        if "=" not in spec:
-            raise BadGrid(f"parameter {spec!r} is not of the form name=values")
-        name, text = spec.split("=", 1)
-        name = name.strip()
+    named = _named(args.param, "name=values")
+    for name in named:
         if name not in param_names:
             raise BadGrid(f"{family} has no parameter {name!r}")
-        if name in grid_axes:
-            raise BadGrid(f"parameter {name!r} given twice")
-        grid_axes[name] = _parse_grid_values(text)
-    missing = [p for p in param_names if p not in grid_axes]
+    missing = [p for p in param_names if p not in named]
     if missing:
         raise BadGrid(f"missing grid for parameter(s): {', '.join(missing)}")
-    if not param_names:
-        raise BadGrid(f"{family} takes no parameters; nothing to sweep")
+    grid_axes = {name: _parse_grid_values(text) for name, text in named.items()}
+    if (points := math.prod(map(len, grid_axes.values()))) > _MAX_GRID_POINTS:
+        raise BadGrid(f"grid of {points} points is larger than {_MAX_GRID_POINTS}")
 
-    quantities = ("i48", "n_triple_sq", "dres", "delta24")
-    header = list(param_names)
-    for q in quantities:
-        header += [f"{q}_num_re", f"{q}_num_im", f"{q}_exp_re", f"{q}_exp_im",
-                   f"{q}_abs_dev", f"{q}_rel_dev"]
+    header = [*param_names, *(f"{q}_{part}" for q, _, _ in _SWEEP_QUANTITIES for part in
+                              ("num_re", "num_im", "exp_re", "exp_im", "abs_dev", "rel_dev"))]
     worst = 0.0
     rows = []
     for values in product(*(grid_axes[p] for p in param_names)):
@@ -239,22 +239,15 @@ def cmd_sweep(args) -> int:
         state = cat.catalog_state(family, params)
         head = inv.triple_invariants(state, singled=4)
         expected = family_expected(family, params)
-        numeric = {"i48": head.i48, "n_triple_sq": head.n_sq,
-                   "dres": head.dres, "delta24": head.delta24}
-        # deviations are measured relative to the state's homogeneity scale
         norm = state.norm
-        scale = {"i48": norm ** 8, "n_triple_sq": norm ** 8,
-                 "dres": norm ** 8, "delta24": norm ** 24}
-        row = []
-        for p in param_names:
-            row.append(stateio.fmt(params[p].real)
-                       + (f"{params[p].imag:+.17g}j" if params[p].imag else ""))
-        for q in quantities:
+        row = [stateio.fmt(v.real) + (f"{v.imag:+.17g}j" if v.imag else "") for v in values]
+        for q, field, degree in _SWEEP_QUANTITIES:
             # numpy scalars: a modulus too large for a float saturates to inf
-            num = np.complex128(numeric[q])
+            num = np.complex128(getattr(head, field))
             exp = np.complex128(expected[q])
             abs_dev = abs(num - exp)
-            floor = max(abs(num), abs(exp), 1e-12 * scale[q])
+            # deviations are measured relative to the state's homogeneity scale
+            floor = max(abs(num), abs(exp), 1e-12 * norm ** degree)
             if q == "dres":
                 # dres = n_sq - 2|i48| cancels, so its rounding is that of n_sq
                 floor = max(floor, head.n_sq, expected["n_triple_sq"])
@@ -277,67 +270,62 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if worst <= args.max_rel else EXIT_VIOLATION
 
 
-def _check_decomposition(trials: int, seed: int, tol: float) -> tuple[float, str]:
-    worst = 0.0
-    for trial in range(trials):
-        n = 3 + (trial % 2)
-        state = random_state(n, (seed, trial))
-        for p in range(1, n + 1):
-            worst = max(worst, ptrans.decomposition_residual(state, p))
-    return worst, "max decomposition residual"
+def _suite(defects, label: str):
+    """The runner of a check suite: the largest of `defects(seed, trial)` over
+    the trials, and its label.  tol goes unread, since cmd_check compares the
+    result with it, but bench/workloads.py calls runner(trials, seed, tol)."""
+    def run(trials: int, seed: int, tol: float) -> tuple[float, str]:
+        worst = 0.0
+        for trial in range(trials):
+            worst = max(worst, *defects(seed, trial))
+        return worst, label
+    return run
 
 
-def _check_invariance(trials: int, seed: int, tol: float) -> tuple[float, str]:
-    worst = 0.0
-    for trial in range(trials):
-        state = random_state(4, (seed, trial))
-        rotated = state
-        for q in (1, 2, 3, 4):
-            rotated = apply_local_unitary(
-                rotated, random_special_unitary((seed, trial, q), q))
-        before = inv.triple_invariants(state)
-        after = inv.triple_invariants(rotated)
-        worst = max(worst,
-                    abs(inv.i4(state) - inv.i4(rotated)),
-                    abs(before.i48 - after.i48),
-                    abs(before.j12 - after.j12),
-                    abs(before.delta24 - after.delta24))
-        s3 = random_state(3, (seed, trial, 33))
-        r3 = s3
-        for q in (1, 2, 3):
-            r3 = apply_local_unitary(r3, random_special_unitary((seed, trial, 3, q), q))
-        worst = max(worst, abs(inv.three_way_invariant(s3)
-                               - inv.three_way_invariant(r3)))
-    return worst, "max invariant drift under special local unitaries"
+def _decomposition_residuals(seed: int, trial: int) -> list[float]:
+    n = 3 + (trial % 2)
+    state = random_state(n, (seed, trial))
+    return [ptrans.decomposition_residual(state, p) for p in range(1, n + 1)]
 
 
-def _check_negativity_relation(trials: int, seed: int, tol: float) -> tuple[float, str]:
-    worst = 0.0
-    for trial in range(trials):
-        lhs, rhs = inv.n_global_sq_relation(random_state(3, (seed, trial)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst, "max |squared-negativity relation defect|"
+def _scrambled(state: PureState, key: tuple) -> PureState:
+    """An independent random SU(2) on every qubit q, seeded by (*key, q)."""
+    for q in range(1, state.n_qubits + 1):
+        state = apply_local_unitary(state, random_special_unitary((*key, q), q))
+    return state
 
 
-def _random_product(rng, split: str) -> PureState:
-    def ket(dim):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return v / np.linalg.norm(v)
+def _invariant_drifts(seed: int, trial: int) -> list[float]:
+    state = random_state(4, (seed, trial))
+    rotated = _scrambled(state, (seed, trial))
+    before = inv.triple_invariants(state)
+    after = inv.triple_invariants(rotated)
+    s3 = random_state(3, (seed, trial, 33))
+    r3 = _scrambled(s3, (seed, trial, 3))
+    return [abs(inv.i4(state) - inv.i4(rotated)), abs(before.i48 - after.i48),
+            abs(before.j12 - after.j12), abs(before.delta24 - after.delta24),
+            abs(inv.three_way_invariant(s3) - inv.three_way_invariant(r3))]
 
-    if split == "triple":
-        vec = np.kron(ket(8), ket(2))
-    else:
-        vec = np.kron(ket(4), ket(4))
-    return make_state(4, vec)
+
+def _relation_defects(seed: int, trial: int) -> list[float]:
+    lhs, rhs = inv.n_global_sq_relation(random_state(3, (seed, trial)))
+    return [abs(lhs - rhs)]
 
 
-def _check_vanishing(trials: int, seed: int, tol: float) -> tuple[float, str]:
-    worst = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        for split in ("triple", "pair"):
-            worst = max(worst, abs(inv.i48(_random_product(rng, split))))
-    return worst, "max |i48| on product states"
+def _product_i48s(seed: int, trial: int) -> list[float]:
+    """|i48| of a random (123)(4) and then a random (12)(34) product state."""
+    rng = np.random.default_rng((seed, trial))
+    kets = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (8, 2, 4, 4)]
+    kets = [v / np.linalg.norm(v) for v in kets]
+    return [abs(inv.i48(make_state(4, np.kron(kets[i], kets[i + 1])))) for i in (0, 2)]
+
+
+_check_decomposition = _suite(_decomposition_residuals, "max decomposition residual")
+_check_invariance = _suite(_invariant_drifts,
+                           "max invariant drift under special local unitaries")
+_check_negativity_relation = _suite(_relation_defects,
+                                    "max |squared-negativity relation defect|")
+_check_vanishing = _suite(_product_i48s, "max |i48| on product states")
 
 
 CHECK_SUITES = {

@@ -108,14 +108,14 @@ def _pair_key(pair) -> str:
 def three_report_dict(report) -> dict:
     return {
         "pair_dets": {_pair_key(p): [cnum(d[0]), cnum(d[1])]
-                      for p, d in sorted(report.pair_dets.items())},
+                      for p, d in report.pair_dets.items()},
         "d3": [cnum(report.d3_canonical[0]), cnum(report.d3_canonical[1])],
-        "n_pair_sq": {_pair_key(p): v for p, v in sorted(report.n_pair_sq.items())},
+        "n_pair_sq": {_pair_key(p): v for p, v in report.n_pair_sq.items()},
         "n_global_sq": report.n_global_sq,
         "i3": cnum(report.i3),
         "tau3": report.tau3,
         "i3_is_zero": report.i3_is_zero,
-        "w_sums": {_pair_key(p): v for p, v in sorted(report.w_sums.items())},
+        "w_sums": {_pair_key(p): v for p, v in report.w_sums.items()},
         "i2_w": report.i2_w,
     }
 
@@ -143,7 +143,7 @@ def four_report_dict(report, triple: int = 4) -> dict:
         "triple": triple,
         "headline": _triple_dict(head),
         "triples": [_triple_dict(tr) for tr in report.triples],
-        "pair_sums": {_pair_key(p): v for p, v in sorted(report.pair_sums.items())},
+        "pair_sums": {_pair_key(p): v for p, v in report.pair_sums.items()},
         "n44_sq": report.n44_sq,
         "n48": report.n48,
         "i26": report.i26,
@@ -154,7 +154,8 @@ def four_report_dict(report, triple: int = 4) -> dict:
 
 
 def dump_report(doc: dict, stream: IO[str]) -> None:
-    """Write the report as JSON; nothing is written if a value is NaN or infinite."""
+    """Write the report as JSON with sorted keys, the one place key order is
+    set; nothing is written if a value is NaN or infinite."""
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and random-state factories.
+"""Shared test utilities: independent oracles, random-state factories, and
+the bit-level harness of the digest scripts (`hex_words`, `record`).
 
 The oracles here deliberately avoid the code paths they are used to check:
 negativity is cross-checked through reduced-density determinants, and the
@@ -7,9 +8,48 @@ degree-24 discriminant through the resolvent cubic of the quartic.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from negfonts import PureState, apply_local_unitary, make_state, random_special_unitary
+
+
+def hex_words(value):
+    """The hex of every float in `value` (real and imaginary parts apart),
+    walking arrays, dataclasses, dicts and sequences; a bool reads True or False."""
+    if isinstance(value, (bool, np.bool_)):
+        yield repr(bool(value))
+    elif isinstance(value, complex):
+        yield value.real.hex()
+        yield value.imag.hex()
+    elif isinstance(value, (float, int)):
+        yield float(value).hex()
+    elif isinstance(value, np.ndarray):
+        yield repr(value.shape)
+        yield from hex_words(value.ravel().tolist())
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield field.name
+            yield from hex_words(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield repr(key)
+            yield from hex_words(value[key])
+    else:
+        for item in value:
+            yield from hex_words(item)
+
+
+def record(digest, label: str, thunk) -> None:
+    """Feed one line to `digest`: the label, then the words of thunk()'s value,
+    or the type of the error it raises."""
+    try:
+        words = list(hex_words(thunk()))
+    except Exception as err:        # the error type is part of the digest
+        words = [type(err).__name__]
+    digest.update(" ".join([label, *words]).encode())
+    digest.update(b"\n")
 
 
 def random_ket(rng, dim: int) -> np.ndarray:

@@ -27,12 +27,12 @@ The file is not named test_*.py, so pytest does not collect it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from itertools import permutations, product
 
 import numpy as np
 
+from helpers import record
 from negfonts import (
     CATALOG,
     aggregate_invariants,
@@ -61,28 +61,6 @@ from negfonts.classify import SWEEP_FAMILIES
 HAAR_STATES = 24
 SCALES = (1.0, 3.7, 1e30, 1e-30, 1e40, 1e-40, 1e100, 1e-100, 1e200, 1e-200)
 FAMILY_GRID = (0j, 0.6 + 0j, 1 - 0.5j, -0.3 + 1.1j, 1e80j)
-
-
-def _words(value):
-    """The hex of every float in `value`, walking reports, dicts and sequences."""
-    if isinstance(value, (bool, np.bool_)):
-        yield repr(bool(value))
-    elif isinstance(value, complex):
-        yield value.real.hex()
-        yield value.imag.hex()
-    elif isinstance(value, (float, int)):
-        yield float(value).hex()
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield field.name
-            yield from _words(getattr(value, field.name))
-    elif isinstance(value, dict):
-        for key in sorted(value):
-            yield repr(key)
-            yield from _words(value[key])
-    else:
-        for item in value:
-            yield from _words(item)
 
 
 def _calls(state):
@@ -123,26 +101,17 @@ def _states():
         yield name, catalog_state(name, params)
 
 
-def _record(digest, label: str, thunk) -> None:
-    try:
-        words = list(_words(thunk()))
-    except Exception as err:        # the error type is part of the digest
-        words = [type(err).__name__]
-    digest.update(" ".join([label, *words]).encode())
-    digest.update(b"\n")
-
-
 def invariant_digest() -> str:
     digest = hashlib.sha256()
     with np.errstate(all="ignore"):
         for name, state in _states():
             for label, thunk in _calls(state):
-                _record(digest, f"{name} {label}", thunk)
+                record(digest, f"{name} {label}", thunk)
         for family in SWEEP_FAMILIES:
             names = CATALOG[family].params
             for point in product(FAMILY_GRID, repeat=len(names)):
                 params = dict(zip(names, point))
-                _record(digest, f"{family} {point!r}", lambda: family_expected(family, params))
+                record(digest, f"{family} {point!r}", lambda: family_expected(family, params))
     return digest.hexdigest()
 
 

@@ -9,7 +9,10 @@ complex point) it runs, in a scratch directory:
   file; a command that does not take the state's qubit count enters through
   its stderr and exit code;
 
-and then one `sweep` of `G_abcd` over a 3 x 2 x 2 x 2 grid.
+then one `sweep` of `G_abcd` over a 3 x 2 x 2 x 2 grid and one `catalog` call
+that mixes positional and `--param` arguments.  Last come the float.hex of the
+worst defect and the label of each `check` suite's runner, at 20 trials and
+seeds 0 and 4409.
 
     PYTHONPATH=src python3 tests/report_digest.py
 
@@ -27,12 +30,15 @@ import os
 import tempfile
 
 from negfonts import CATALOG, catalog_names
-from negfonts.cli import main
+from negfonts.cli import CHECK_SUITES, main
 
 POINT = "0.7-0.3j"
 REPORTS = ("invariants", "classify", "fonts", "negativity")
 SWEEP = ("sweep", "--family", "G_abcd", "--param", "a=0.5:1.5:3", "--param", "b=0.2,1",
          "--param", "c=-1,0.3j", "--param", "d=2,1-1j", "--out", "sweep.csv")
+MIXED = ("catalog", "Psi_ab", f"a={POINT}", "--param", " b = 2", "--out", "state.txt")
+CHECK_TRIALS = 20
+CHECK_SEEDS = (0, 4409)
 
 
 def _run(digest, argv, out_file: str | None = None) -> None:
@@ -61,8 +67,13 @@ def report_digest() -> str:
                 for command in REPORTS:
                     _run(digest, [command, "--in", "state.txt"])
             _run(digest, SWEEP, "sweep.csv")
+            _run(digest, MIXED, "state.txt")
         finally:
             os.chdir(home)
+    for suite, (runner, _, tol) in sorted(CHECK_SUITES.items()):
+        for seed in CHECK_SEEDS:
+            worst, label = runner(CHECK_TRIALS, seed, tol)
+            digest.update(f"check {suite} {seed} {float.hex(worst)} {label}\n".encode())
     return digest.hexdigest()
 
 

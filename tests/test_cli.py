@@ -301,6 +301,8 @@ def test_missing_input_file_exit_2(tmp_path, capsys):
     ("check", "--suite", "vanishing", "--tol", "nan"),
     ("sweep", "--family", "Psi_ab", "--param", "a=1", "--param", "b=1", "--max-rel", "-1"),
     ("sweep", "--family", "Psi_ab", "--param", "a=1", "--param", "b=1", "--max-rel", "nan"),
+    ("sweep", "--family", "Psi_ab", "--param", "a=0:1:1000000000000", "--param", "b=1"),
+    ("sweep", "--family", "G_abcd", *(a for p in "abcd" for a in ("--param", f"{p}=1:2:20"))),
 ), ids=" ".join)
 def test_invalid_integer_option_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "ghz4.txt"
@@ -315,6 +317,8 @@ def test_invalid_integer_option_exit_2(tmp_path, capsys, argv):
     ("catalog", "Psi_a", "a=1", "a=2"),
     ("catalog", "Psi_a", "a=1", "--param", "a=2"),
     ("sweep", "--family", "L_a2b2", "--param", "a=1", "--param", "a=2", "--param", "b=1"),
+    ("catalog", "Psi_a", "a=1", "a=x"),
+    ("sweep", "--family", "Psi_ab", "--param", "a=1", "--param", "zz=1", "--param", "a=2"),
 ), ids=" ".join)
 def test_repeated_parameter_exit_2(tmp_path, capsys, argv):
     out_path = tmp_path / "out.txt"
@@ -477,6 +481,18 @@ def test_sweep_bad_grid(capsys):
     assert "missing grid" in err
     code, _, err = run(capsys, "sweep", "--family", "nosuch", "--param", "a=1")
     assert code == 2
+
+
+@pytest.mark.parametrize("grid, message", (
+    (("a=0:1:100001", "b=1"), "range '0:1:100001' has more than 100000 points"),
+    (("a=0:1:400", "b=0:1:251"), "grid of 100400 points is larger than 100000"),
+))
+def test_sweep_grid_cap_writes_no_file(tmp_path, capsys, grid, message):
+    out_path = tmp_path / "sweep.csv"
+    argv = [a for g in grid for a in ("--param", g)]
+    code, out, err = run(capsys, "sweep", "--family", "Psi_ab", *argv, "--out", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 def test_check_suites(capsys):

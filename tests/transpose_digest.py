@@ -21,12 +21,11 @@ The file is not named test_*.py, so pytest does not collect it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import numpy as np
 
-from helpers import scramble_special
+from helpers import record, scramble_special
 from negfonts import (
     all_font_dets,
     decomposition_residual,
@@ -44,29 +43,6 @@ from negfonts import (
 HAAR_STATES = 3
 SCRAMBLES = 2
 SCALES = (1.0, 3.7, 1e30, 1e-30)
-
-
-def _words(value):
-    """The hex of every float in `value`, walking arrays, specs, dicts and sequences."""
-    if isinstance(value, complex):
-        yield value.real.hex()
-        yield value.imag.hex()
-    elif isinstance(value, (float, int)):
-        yield float(value).hex()
-    elif isinstance(value, np.ndarray):
-        yield repr(value.shape)
-        yield from _words(value.ravel().tolist())
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield field.name
-            yield from _words(getattr(value, field.name))
-    elif isinstance(value, dict):
-        for key in sorted(value):
-            yield repr(key)
-            yield from _words(value[key])
-    else:
-        for item in value:
-            yield from _words(item)
 
 
 def _ghz(n: int):
@@ -111,21 +87,12 @@ def _calls(state):
         yield f"font_dets{p}", lambda p=p: all_font_dets(state, p)
 
 
-def _record(digest, label: str, thunk) -> None:
-    try:
-        words = list(_words(thunk()))
-    except Exception as err:        # the error type is part of the digest
-        words = [type(err).__name__]
-    digest.update(" ".join([label, *words]).encode())
-    digest.update(b"\n")
-
-
 def transpose_digest() -> str:
     digest = hashlib.sha256()
     with np.errstate(all="ignore"):
         for name, state in _states():
             for label, thunk in _calls(state):
-                _record(digest, f"{name} {label}", thunk)
+                record(digest, f"{name} {label}", thunk)
     return digest.hexdigest()
 
 
