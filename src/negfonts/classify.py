@@ -11,9 +11,8 @@ the degree-8 invariant and that residual together with the font counts of the
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Mapping
 
 import numpy as np
@@ -294,44 +293,6 @@ def _row(score: np.ndarray) -> tuple[int, int, float, int]:
     return int(count), int(penalty), total, int(support)
 
 
-def _better(scores: np.ndarray, ref: tuple, floor: float) -> np.ndarray:
-    """Which rows of `scores` are strictly better than `ref`.
-
-    Integer fields compare exactly; the modulus sum needs a noise floor,
-    otherwise gauge moves keep "improving" by rounding error.
-    """
-    count, penalty, total, support = scores.T
-    fewer = (count < ref[0]) | ((count == ref[0]) & (penalty < ref[1]))
-    tied = (count == ref[0]) & (penalty == ref[1])
-    by_sum = np.where(np.abs(total - ref[2]) > floor, total < ref[2], support < ref[3])
-    return fewer | (tied & by_sum)
-
-
-# single-qubit Clifford group, used as discrete refinement moves between
-# minimal frames that the continuous search cannot distinguish; built once,
-# on the first search
-@functools.cache
-def _clifford_gates() -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    s = np.array([[1, 0], [0, 1j]])
-    gates: list[np.ndarray] = [np.eye(2, dtype=complex)]
-    frontier = list(gates)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for m in (h, s):
-                c = m @ g
-                pivot = c.flat[np.argmax(np.abs(c) > 1e-9)]
-                c = c / (pivot / abs(pivot))
-                if not any(np.allclose(c, e, atol=1e-9) for e in gates):
-                    gates.append(c)
-                    fresh.append(c)
-        frontier = fresh
-    table = np.stack(gates)
-    table.setflags(write=False)     # cached: every search shares this array
-    return table
-
-
 def _apply_gates(vecs: np.ndarray, q: int, gates: np.ndarray) -> np.ndarray:
     """Each of `gates` (m, 2, 2) on qubit q (0-based): (..., 2^n) -> (..., m, 2^n)."""
     size = vecs.shape[-1]
@@ -339,71 +300,15 @@ def _apply_gates(vecs: np.ndarray, q: int, gates: np.ndarray) -> np.ndarray:
     return (gates[:, None] @ split).reshape(vecs.shape[:-1] + (len(gates), size))
 
 
-# `_better` ties the modulus sums of two Clifford frames closer than this
-_SUM_FLOOR = 1e-9
-
-
-def _clifford_refine(vec: np.ndarray, best: tuple, scores):
-    """Greedy hill-climb over single-qubit Clifford moves, at most 16 rounds.
-
-    Each round tries the 23 non-identity gates on each qubit in turn and
-    accepts every move strictly better than the best so far.  The moves left
-    in a round are scored in one batch, and rebuilt from the new best after
-    each acceptance, so a round accepts exactly what a move-by-move loop
-    accepts.  Returns (vec, best, objective after each round).
-    """
-    moves = _clifford_gates()[1:]
-    n = vec.size.bit_length() - 1
-    rounds = []
-    for _round in range(16):
-        improved, done = False, 0
-        while done < n * len(moves):
-            vecs = np.concatenate([_apply_gates(vec, q, moves) for q in range(n)])[done:]
-            rows = scores(vecs)
-            hits = np.flatnonzero(_better(rows, best, _SUM_FLOOR))
-            if not hits.size:
-                break
-            k = int(hits[0])
-            vec, best, improved = vecs[k], _row(rows[k]), True
-            done += k + 1
-        rounds.append(best)
-        if not improved:
-            break
-    return vec, best, rounds
-
-
-def _phase_gauge(vec: np.ndarray, amp_floor: float) -> np.ndarray:
-    """Try to make every significant amplitude real via per-qubit z-rotations.
-
-    For small supports the linear system (one z-angle per qubit plus a global
-    phase, sign of each amplitude free) is often solvable exactly; Clifford
-    moves then act within a real gauge.  Returns the input unchanged when no
-    exact gauge is found.
-    """
-    idx = np.where(np.abs(vec) > amp_floor)[0]
-    if not 1 <= len(idx) <= 6:
-        return vec
-    n = vec.size.bit_length() - 1
-    shifts = np.arange(n - 1, -1, -1)
-    bits = ((idx[:, None] >> shifts[None, :]) & 1) - 0.5
-    rows = np.hstack([bits, np.ones((len(idx), 1))])
-    phases = np.angle(vec[idx])
-    for signs in product((0.0, np.pi), repeat=len(idx) - 1):
-        target = -phases + np.array((0.0,) + signs)
-        sol, *_ = np.linalg.lstsq(rows, target, rcond=None)
-        residual = rows @ sol - target
-        wrapped = (residual + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(wrapped)) < 1e-9:
-            all_idx = np.arange(vec.size)
-            all_bits = ((all_idx[:, None] >> shifts[None, :]) & 1) - 0.5
-            return vec * np.exp(1j * (all_bits @ sol[:n] + sol[n]))
-    return vec
+# the lock-step search keeps a row of angles per restart
+_MAX_RESTARTS = 100_000
 
 
 def _check_budget(seed, restarts, iters) -> None:
-    """Raise BadBudget unless seed >= 0, restarts >= 0 and iters >= 1 are ints."""
+    """Raise BadBudget unless seed >= 0, 0 <= restarts <= _MAX_RESTARTS and
+    iters >= 1 are ints."""
     check_index(seed, 0, None, "seed", BadBudget)
-    check_index(restarts, 0, None, "restarts", BadBudget)
+    check_index(restarts, 0, _MAX_RESTARTS, "restarts", BadBudget)
     check_index(iters, 1, None, "iters", BadBudget)
 
 
@@ -466,13 +371,66 @@ def _start_frame(amps: np.ndarray, has_four_body: bool) -> np.ndarray:
     return frames[best.index(pick)] if pick[:2] < before else amps
 
 
+# the magic basis: its columns are Bell states, and M^H (A x B) M is real
+# orthogonal for every A, B in SU(2) (Verstraete, Dehaene, De Moor and
+# Verschelde, PRA 65, 052112), so SU(2)^4 acts on Y = M^H X conj(M), with X
+# the amplitudes as a 4x4 matrix (rows: qubits 1-2), as Y -> O1 Y O2^T
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
+# M diag(d) M^T, flattened, is d @ _MAGIC_TERMS
+_MAGIC_TERMS = np.einsum("ik,jk->kij", _MAGIC, _MAGIC).reshape(4, 16)
+# the 24 orders of four entries with their signs, and the 8 even sign patterns
+_ORDERS = np.array(list(permutations(range(4))))
+_ORDER_SIGNS = np.array([(-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+                         for p in _ORDERS.tolist()])
+_EVEN_SIGNS = np.array([s for s in product((1, -1), repeat=4) if np.prod(s) == 1])
+
+
+def _magic_frame(amps: np.ndarray, has_four_body: bool, tol: float) -> np.ndarray | None:
+    """The magic-basis normal form M D M^T of four-qubit `amps`, or None.
+
+    It exists where Y = O1 D O2^T with O1, O2 real orthogonal and D complex
+    diagonal, as on every G_abcd orbit.  O1 is one `eigh` of Re(Y Y^T) +
+    0.618 Im(Y Y^T).  The rows of R = O1^T Y with bilinear norm |d_k| > 1e-6
+    are divided by it, the others completed to an orthonormal set (d_k = 0).
+    The divided rows reproduce R by construction; the frame exists only if
+    they are real and O2 is orthogonal, to 1e-9, and the completed rows of R
+    vanish, to 1e-6 (on |0> x GHZ3, Y Y^T is nilpotent but nonzero; on
+    GHZ3 x |0> it is zero).  A determinant of -1 in O1 or O2 flips d_0.  Of
+    the 24 orders of D times 8 even sign patterns, the frame `_scores` ranks
+    best at `tol` is returned.
+    """
+    y = _MAGIC.conj().T @ amps.reshape(4, 4) @ _MAGIC.conj()
+    yy = y @ y.T
+    _, o1 = np.linalg.eigh(yy.real + 0.618 * yy.imag)
+    r = o1.T @ y
+    d = np.sqrt(np.sum(r * r, -1))
+    keep = np.abs(d) > 1e-6
+    rows = r[keep] / d[keep, None]
+    o2t = np.zeros((4, 4))
+    o2t[keep] = rows.real
+    if not keep.all():
+        # eigenvectors of the projector onto the complement of the kept rows
+        _, basis = np.linalg.eigh(np.eye(4) - o2t.T @ o2t)
+        o2t[~keep] = basis[:, keep.sum():].T
+    if (np.abs(rows.imag).max(initial=0.0) > 1e-9
+            or np.abs(o2t @ o2t.T - np.eye(4)).max() > 1e-9
+            or np.abs(r[~keep]).max(initial=0.0) > 1e-6):
+        return None
+    d = np.where(keep, d, 0)
+    # det O1 det O2 = det(O1 O2^T), as a sum of 24 permutation terms
+    if _ORDER_SIGNS @ (o1 @ o2t)[np.arange(4), _ORDERS].prod(-1) < 0:
+        d[0] = -d[0]
+    frames = (d[_ORDERS][:, None] * _EVEN_SIGNS).reshape(-1, 4) @ _MAGIC_TERMS
+    scores = _scores(frames, tol, has_four_body).tolist()
+    return frames[scores.index(min(scores))]
+
+
 def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
                   seed: int = 0, tol: float = DEFAULT_TOL):
     """Best-effort search for a local-unitary frame with the fewest nonzero fonts.
 
     Derivative-free Powell search over the eight Euler angles that can change
-    the objective (`_SEARCHED`), from `restarts` starts run in lock-step,
-    followed by a greedy hill-climb over single-qubit Clifford moves.  The
+    the objective (`_SEARCHED`), from `restarts` starts run in lock-step.  The
     accepted objective is lexicographic over the canonical fonts of qubit 1:
 
         (count above tolerance,
@@ -487,32 +445,31 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     The search runs on the state's direction: every input, unit or not, is
     normalized, so `classify` and a direct call search the same unit vector.
     Tolerances are absolute on that vector, and the frame is returned
-    normalized.  Restart 0 starts at `_start_frame` of that vector, and the
-    random restarts are Euler angles applied to that frame.
+    normalized.  Restart 0 starts at `_magic_frame` of that vector, the exact
+    normal form on the G_abcd orbits, or at its `_start_frame` where there is
+    no magic frame; the random restarts are Euler angles applied to that frame.
 
     The search is anytime: all restarts end together once the best
     (count, penalty) over every frame evaluated so far, read from the
     surrogate's minors, has not fallen for `_STALL_ROUNDS` (450) lock-step
     rounds.  Each restart's candidate is its own Powell point (the
     lowest-surrogate point it evaluated, if it was stopped), never the frame
-    that scored best; the Clifford moves refine the best candidate.
+    that scored best; the best candidate is returned.
 
     Returns (state, trace); trace rows are (step, *objective) for the
     accepted best and never increase: row 0 is the start frame, then one
-    row per restart and one per Clifford round.
+    row per restart, so the last row is the returned frame's objective.
     """
     check_arity(state, 4, "font_minimize")
     _check_budget(seed, restarts, iters)
     check_tolerance(tol)
     unit = normalize(state)
     has_four_body = bool(abs(i48(unit)) > tol)
-    amps = _start_frame(unit.amps, has_four_body)
-
-    def scores(vecs: np.ndarray) -> np.ndarray:
-        return _scores(vecs, tol, has_four_body)
-
+    amps = _magic_frame(unit.amps, has_four_body, tol)
+    if amps is None:
+        amps = _start_frame(unit.amps, has_four_body)
     best_vec = amps
-    best = _row(scores(amps))
+    best = _row(_scores(amps, tol, has_four_body))
     trace = [(0, *best)]
     starts = np.zeros((restarts, 12))
     for restart in range(1, restarts):
@@ -534,20 +491,12 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     result = minimize(surrogate, starts, maxiter=iters, direc=_SEARCHED, stop=stall)
     # fresh phases: cached ones may differ from them in the sign of a zero
     vecs = _rotated_amps(amps, result.x)
-    for restart, (vec, score) in enumerate(zip(vecs, scores(vecs))):
+    for restart, (vec, score) in enumerate(zip(vecs, _scores(vecs, tol, has_four_body))):
         candidate = _row(score)
         if candidate < best:
             best = candidate
             best_vec = vec
         trace.append((restart + 1, *best))
-
-    # discrete refinement: single-qubit Clifford moves jump between minimal
-    # frames whose basins the continuous search does not connect; they need a
-    # real amplitude gauge to line the phases up.  The gauge only touches
-    # phases, so the objective is unchanged and it is safe to apply always.
-    best_vec = _phase_gauge(best_vec, tol)
-    best_vec, best, rounds = _clifford_refine(best_vec, best, scores)
-    trace.extend((restarts + 1 + k, *row) for k, row in enumerate(rounds))
 
     final = np.array(best_vec)
     final.setflags(write=False)

@@ -148,13 +148,16 @@ def cmd_fonts(args) -> int:
 
 def _named(texts: list[str], form: str) -> dict[str, str]:
     """Each NAME=VALUE argument, split at its first '=', as {stripped name: value
-    text}; all are checked for '=' and repeats before a name or value is read."""
+    text}; all are checked for '=', an empty name and repeats before a name or
+    value is read."""
     named = {}
     for text in texts:
         if "=" not in text:
             raise BadGrid(f"parameter {text!r} is not of the form {form}")
         name, value = text.split("=", 1)
         name = name.strip()
+        if not name:
+            raise BadGrid(f"parameter {text!r} has no name before '='")
         if name in named:
             raise BadGrid(f"parameter {name!r} given twice")
         named[name] = value

@@ -5,8 +5,12 @@ state, (stream, target, trial))` are classified with `classify(...,
 use_font_min=True, iters=60, seed=trial)`.  The targets are those of
 `search_digest.py` (GHZ4 and W4 at 4 restarts, C1 at 16); `--targets all`
 adds the other worked examples at 16 restarts: Psi_ab(1,1), Psi_a(1), the
-five G_abcd points, BrownPhi, HS, Dicke42, C2 and C3.  Each row gives how
-many came out in the class of the catalog frame, a histogram of the searched
+five G_abcd points, BrownPhi, HS, Dicke42, C2 and C3; then, also at 16
+restarts, states off the G_abcd orbits: L_abc2(1,2,3), L_abc2(1,1,2),
+L_a2b2(1,0), L_a2b2(1,2), L_a2_0_3p1t(1), Psi_ab(2,0.5), W3 and GHZ3 beside
+|0> on either side, Bell x Bell, Bell beside |00> on either side, and the
+Haar states `random_state(4, seed)` for seeds 1, 2 and 3.  Each row gives how
+many came out in the class of the unscrambled frame, a histogram of the searched
 frame's (n2, n3, n4) with the number of frames whose 4-way fonts disagree
 with i48 (penalty 1), the median milliseconds per `classify` call, and an
 outcome digest: the first 8 hex digits of a SHA-256 over each search's
@@ -30,15 +34,30 @@ import hashlib
 import statistics
 import time
 from collections import Counter
+from functools import reduce
+
+import numpy as np
 
 from helpers import scramble_special
-from negfonts import catalog_state, classify, normalize
+from negfonts import PureState, catalog_state, classify, make_state, normalize, random_state
 from search_digest import ITERS, TARGETS
 
-# (label, catalog name, parameters, restarts); the digest targets come first,
-# so their scramble seeds are the same under either choice of targets
-DIGEST = tuple((name, name, None, restarts) for name, restarts in TARGETS)
-WORKED = DIGEST + tuple((label, name, params, 16) for label, name, params in (
+ZERO, ZERO2 = np.eye(2)[0], np.eye(4)[0]
+
+
+def _named(name: str, params=None) -> np.ndarray:
+    return catalog_state(name, params).amps
+
+
+def _product(*factors: np.ndarray) -> PureState:
+    return make_state(4, reduce(np.kron, factors))
+
+
+# (label, base state, restarts); the digest targets come first, then the
+# worked examples, then the states off the G_abcd orbits, so a row's scramble
+# seeds do not depend on the rows after it
+DIGEST = tuple((name, catalog_state(name), restarts) for name, restarts in TARGETS)
+WORKED = DIGEST + tuple((label, catalog_state(name, params), 16) for label, name, params in (
     ("Psi_ab(1,1)", "Psi_ab", {"a": 1, "b": 1}),
     ("Psi_a(1)", "Psi_a", {"a": 1}),
     ("G_abcd(1,2,3,5)", "G_abcd", {"a": 1, "b": 2, "c": 3, "d": 5}),
@@ -48,15 +67,31 @@ WORKED = DIGEST + tuple((label, name, params, 16) for label, name, params in (
     ("G_aaaa", "G_abcd", {"a": 0.8, "b": 0.8, "c": 0.8, "d": 0.8}),
     *((name, name, None) for name in ("BrownPhi", "HS", "Dicke42", "C2", "C3")),
 ))
-TARGET_SETS = {"digest": DIGEST, "all": WORKED}
+OFF_ORBIT = tuple((label, state, 16) for label, state in (
+    ("L_abc2(1,2,3)", catalog_state("L_abc2", {"a": 1, "b": 2, "c": 3})),
+    ("L_abc2(1,1,2)", catalog_state("L_abc2", {"a": 1, "b": 1, "c": 2})),
+    ("L_a2b2(1,0)", catalog_state("L_a2b2", {"a": 1, "b": 0})),
+    ("L_a2b2(1,2)", catalog_state("L_a2b2", {"a": 1, "b": 2})),
+    ("L_a2_0_3p1t(1)", catalog_state("L_a2_0_3p1t", {"a": 1})),
+    ("Psi_ab(2,0.5)", catalog_state("Psi_ab", {"a": 2, "b": 0.5})),
+    ("W3 x 0", _product(_named("W3"), ZERO)),
+    ("0 x W3", _product(ZERO, _named("W3"))),
+    ("GHZ3 x 0", _product(_named("GHZ3"), ZERO)),
+    ("0 x GHZ3", _product(ZERO, _named("GHZ3"))),
+    ("Bell x Bell", _product(_named("Bell"), _named("Bell"))),
+    ("Bell x 00", _product(_named("Bell"), ZERO2)),
+    ("00 x Bell", _product(ZERO2, _named("Bell"))),
+    *((f"Haar {seed}", random_state(4, seed)) for seed in (1, 2, 3)),
+))
+TARGET_SETS = {"digest": DIGEST, "all": WORKED + OFF_ORBIT}
 
 
 def recovery_rows(streams, trials: int, targets=DIGEST):
     """(stream, target, recovered, histogram, penalized, median ms, outcome digest)
     per target and stream."""
     for stream in streams:
-        for k, (label, name, params, restarts) in enumerate(targets):
-            base = normalize(catalog_state(name, params))
+        for k, (label, state, restarts) in enumerate(targets):
+            base = normalize(state)
             expected = classify(base).major_class
             recovered = penalized = 0
             counts, times = Counter(), []
@@ -86,7 +121,7 @@ def main(argv=None) -> None:
                         help="scramble seed streams (default 9811)")
     parser.add_argument("--targets", choices=sorted(TARGET_SETS), default="digest",
                         help="digest: GHZ4, W4 and C1 (default); all: also every "
-                             "worked example and named catalog state")
+                             "worked example, named catalog state and off-orbit row")
     args = parser.parse_args(argv)
     print("| stream | target | recovered | (n2, n3, n4): searches | penalty 1 | ms/search "
           "| outcomes |")

@@ -4,7 +4,7 @@ import importlib
 import math
 import warnings
 from functools import reduce
-from itertools import combinations, count, product
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -143,6 +143,21 @@ def test_bad_budget_is_typed(budget):
     # numpy integers are integers
     assert classify(ghz, use_font_min=True, seed=np.int64(3), restarts=np.int32(1),
                     iters=np.uint8(20)).major_class == "IV"
+
+
+@pytest.mark.parametrize("restarts", (100_001, 10**15))
+def test_restarts_over_the_cap_are_typed(monkeypatch, restarts):
+    # refused before any work: the state is never normalized, and no row of
+    # angles per restart is set up
+    def untouched(state):
+        raise AssertionError("the budget must be checked first")
+
+    monkeypatch.setattr(classify_module, "normalize", untouched)
+    ghz = catalog_state("GHZ4")
+    with pytest.raises(BadBudget, match="restarts must be an integer in 0..100000"):
+        font_minimize(ghz, restarts=restarts)
+    with pytest.raises(BadBudget, match="restarts must be an integer in 0..100000"):
+        classify(ghz, use_font_min=True, restarts=restarts)
 
 
 def test_determinism():
@@ -349,9 +364,11 @@ def test_w4_search_reaches_its_three_font_frame():
 
 
 def test_c2_search_needs_the_gauge_and_the_clifford_moves():
-    # these scrambles of C2 reach its class-III frame only through the
-    # refinement; without `_phase_gauge`, or without `_clifford_refine`, all
-    # four end at (n2, n3, n4) = (2, 2, 0) with penalty 1, read as class I
+    # these scrambles of C2 ended at (n2, n3, n4) = (2, 2, 0) with penalty 1,
+    # read as class I, when the Powell search started from `_start_frame`
+    # alone; a phase gauge and single-qubit Clifford moves after the search
+    # rescued them.  C2 lies on the G_abcd orbits, so the search now starts
+    # from its magic-basis frame, (2, 0, 2), and needs neither
     base = normalize(catalog_state("C2"))
     for trial in (1, 7, 14, 17):
         scrambled = scramble_special(base, (9941, 13, trial))
@@ -374,25 +391,6 @@ def test_classify_counts_the_frame_font_minimize_returns():
             frame, _trace = font_minimize(state, restarts=16, iters=60, seed=t)
             counts = font_counts(frame, 1)
             assert (sig.n2, sig.n3, sig.n4) == (counts[2], counts[3], counts[4]), (name, t)
-
-
-def test_clifford_moves_are_the_single_qubit_clifford_group():
-    gates = classify_module._clifford_gates()
-    assert gates.shape == (24, 2, 2)
-    np.testing.assert_array_equal(gates[0], np.eye(2))
-    np.testing.assert_allclose(gates @ gates.conj().swapaxes(-1, -2),
-                               np.broadcast_to(np.eye(2), gates.shape), rtol=0, atol=1e-12)
-
-    def same_up_to_phase(a, b):
-        # |tr(a^H b)| = 2 for unitaries a, b exactly when b is a phase times a
-        return abs(abs(np.vdot(a, b)) - 2) < 1e-9
-
-    assert not any(same_up_to_phase(a, b) for a, b in combinations(gates, 2))
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    s = np.diag([1, 1j])
-    for m in (h, s):
-        for g in gates:
-            assert sum(same_up_to_phase(m @ g, e) for e in gates) == 1
 
 
 def test_stall_key_is_count_and_penalty_of_scores():
@@ -441,38 +439,22 @@ def test_font_search_stops_once_its_best_count_stalls(monkeypatch):
         assert [count_nonzero_fonts(state, 1, k) for k in (4, 3, 2)] == [1, 0, 0]
 
 
-def test_font_minimize_trace_layout(monkeypatch):
-    # the benchmark tracer reads restart wins and Clifford rounds from this
-    # layout: the input, then one row per restart, then one per Clifford round
-    refine = classify_module._clifford_refine
-    rounds = []
-
-    def spy(*args):
-        out = refine(*args)
-        rounds.append(len(out[2]))
-        return out
-
-    monkeypatch.setattr(classify_module, "_clifford_refine", spy)
-    for idx, name in enumerate(("GHZ4", "W4", "C1")):
+def test_font_minimize_trace_layout():
+    # the benchmark tracer reads restart wins from this layout: the start
+    # frame, then one row per restart; the last row is the returned frame's
+    # own objective, bit for bit
+    for idx, name in enumerate(("GHZ4", "W4", "C1", "C2", "HS")):
         for restarts in (0, 1, 3):
-            rounds.clear()
             scrambled = scramble_special(normalize(catalog_state(name)), (5309, idx, restarts))
             frame, trace = font_minimize(scrambled, restarts=restarts, iters=20,
                                          seed=restarts)
-            assert rounds and 1 <= rounds[0] <= 16
-            assert len(trace) == 1 + restarts + rounds[0]
-            assert [row[0] for row in trace] == list(range(len(trace)))
+            assert [row[0] for row in trace] == list(range(1 + restarts))
             assert all(len(row) == 5 for row in trace)
             objectives = [row[1:] for row in trace]
             assert all(b <= a for a, b in zip(objectives, objectives[1:])), (name, trace)
-            # the trace ends at the returned frame's objective; the phase gauge
-            # moves its modulus sum by rounding after the trace scored it
             has_four_body = bool(abs(classify_module.i48(scrambled)) > 1e-9)
-            score = classify_module._row(classify_module._scores(frame.amps, 1e-9,
-                                                                 has_four_body))
-            last = trace[-1][1:]
-            assert (score[:2], score[3]) == (last[:2], last[3]), (name, trace)
-            assert score[2] == pytest.approx(last[2], rel=0, abs=1e-12)
+            score = classify_module._scores(frame.amps, 1e-9, has_four_body)
+            assert trace[-1][1:] == classify_module._row(score), (name, trace)
 
 
 def _euler_reference(a, b, g):
@@ -543,102 +525,6 @@ def test_surrogate_and_objective_flat_along_a_angles():
                 np.testing.assert_array_equal(scores[1:, [0, 1, 3]],
                                               np.broadcast_to(scores[0, [0, 1, 3]], (4, 3)))
                 np.testing.assert_allclose(scores[1:, 2], scores[0, 2], rtol=0, atol=1e-12)
-
-
-def _strictly_better(cand, ref, floor):
-    if cand[:2] != ref[:2]:
-        return cand[:2] < ref[:2]
-    if abs(cand[2] - ref[2]) > floor:
-        return cand[2] < ref[2]
-    return cand[3] < ref[3]
-
-
-def _sequential_refine(vec, best, scores):
-    """The move-by-move Clifford hill-climb that the batched refinement replaces.
-
-    Also returns how many moves each round accepted."""
-    moves = classify_module._clifford_gates()[1:]
-    n = 4
-
-    def score(v):
-        return classify_module._row(scores(v[None])[0])
-
-    def clifford_moved(v, q, gate):
-        psi = v.reshape((2,) * n)
-        return np.moveaxis(np.tensordot(gate, psi, axes=([1], [q])), 0, q).reshape(-1)
-
-    rounds, accepted = [], []
-    for _round in range(16):
-        accepted.append(0)
-        for q in range(n):
-            for gate in moves:
-                moved = clifford_moved(vec, q, gate)
-                candidate = score(moved)
-                if _strictly_better(candidate, best, 1e-9):
-                    best, vec = candidate, moved
-                    accepted[-1] += 1
-        rounds.append(best)
-        if not accepted[-1]:
-            break
-    return vec, best, rounds, accepted
-
-
-def test_batched_refinement_matches_sequential(monkeypatch):
-    batched = classify_module._clifford_refine
-    calls = []
-
-    def spy(vec, best, scores):
-        calls.append((vec.copy(), best, scores))
-        return batched(vec, best, scores)
-
-    monkeypatch.setattr(classify_module, "_clifford_refine", spy)
-    # HS after a short search is left far from its minimal frames; these C2
-    # frames start the refinement at penalty 1 and leave it at penalty 0
-    cases = [(name, (4219, idx, trial), 2, 30)
-             for idx, name in enumerate(("GHZ4", "W4", "C1")) for trial in range(8)]
-    cases += [("HS", (4219, 7, trial), 1, 5) for trial in range(4)]
-    cases += [("C2", (9941, 13, trial), 16, 60) for trial in (7, 14)]
-    accepted = 0
-    for name, key, restarts, iters in cases:
-        calls.clear()
-        font_minimize(scramble_special(normalize(catalog_state(name)), key),
-                      restarts=restarts, iters=iters, seed=key[-1])
-        (vec, best, scores), = calls
-        got_vec, got_best, got_rounds = batched(vec, best, scores)
-        ref_vec, ref_best, ref_rounds, moves = _sequential_refine(vec, best, scores)
-        accepted += sum(moves)
-        assert len(got_rounds) == len(ref_rounds), (name, key)
-        for got, ref in zip(got_rounds + [got_best], ref_rounds + [ref_best]):
-            assert (got[0], got[1], got[3]) == (ref[0], ref[1], ref[3]), (name, key)
-            assert got[2] == pytest.approx(ref[2], abs=1e-12)
-        np.testing.assert_allclose(got_vec, ref_vec, rtol=0, atol=1e-12)
-    assert accepted > 0
-
-
-def test_batched_refinement_matches_sequential_on_a_rugged_objective():
-    # an arbitrary objective on which a round accepts several moves, each
-    # rebuilding the moves after it from the new best
-    weights = np.random.default_rng(4229).uniform(size=(2, 16))
-
-    def scores(vecs):
-        mass = np.abs(vecs) ** 2
-        count = np.floor(12 * (mass * weights[0]).sum(-1))
-        total = (mass * weights[1]).sum(-1)
-        return np.stack([count, np.ones_like(count), total, np.zeros_like(count)], -1)
-
-    most = 0
-    for seed in range(3):
-        vec = random_state(4, 4229 + seed).amps
-        best = classify_module._row(scores(vec[None])[0])
-        got_vec, got_best, got_rounds = classify_module._clifford_refine(vec, best, scores)
-        ref_vec, ref_best, ref_rounds, accepted = _sequential_refine(vec, best, scores)
-        most = max(most, *accepted)
-        assert len(got_rounds) == len(ref_rounds)
-        for got, ref in zip(got_rounds + [got_best], ref_rounds + [ref_best]):
-            assert got[:2] == ref[:2]
-            assert got[2] == pytest.approx(ref[2], abs=1e-12)
-        np.testing.assert_allclose(got_vec, ref_vec, rtol=0, atol=1e-12)
-    assert most >= 2
 
 
 def _reference_rotated_amps(amps, thetas):
@@ -806,3 +692,38 @@ def test_start_frame_is_a_never_worse_local_unitary_image():
     for k in range(8):
         haar = random_state(4, (5353, k))
         assert classify_module._start_frame(haar.amps, True).tobytes() == haar.amps.tobytes()
+
+
+_G_ORBIT = [("GHZ4", None), ("C1", None), ("C2", None), ("C3", None), ("Dicke42", None),
+            ("HS", None), ("BrownPhi", None)] + [("G_abcd", params) for params in (
+    {"a": 1, "b": 2, "c": 3, "d": 5}, {"a": 1 + 0.5j, "b": 2, "c": 3 - 1j, "d": 5},
+    {"a": 1, "b": 0, "c": 0, "d": 1}, {"a": 0, "b": 0.7, "c": 0.7, "d": 0},
+    {"a": 0.8, "b": 0.8, "c": 0.8, "d": 0.8})]
+
+
+def test_magic_frame_is_a_local_unitary_image_on_the_g_orbits():
+    for idx, (name, params) in enumerate(_G_ORBIT):
+        base = normalize(catalog_state(name, params))
+        for trial in range(4):
+            state = scramble_special(base, (5413, idx, trial))
+            has_four_body = bool(abs(triple_invariants(state).i48) > 1e-9)
+            frame = classify_module._magic_frame(state.amps, has_four_body, 1e-9)
+            assert frame is not None, (name, params, trial)
+            drift = np.abs(classify_module._invariant_fingerprint(make_state(4, frame))
+                           - classify_module._invariant_fingerprint(state))
+            assert drift.max() <= 1e-12, (name, params, trial)
+            assert abs(np.linalg.norm(frame) - 1) <= 1e-12
+
+
+def test_magic_frame_is_none_off_the_g_orbits():
+    ghz3 = catalog_state("GHZ3").amps
+    zero = np.eye(2)[0]
+    bases = [normalize(catalog_state("W4")), make_state(4, np.kron(ghz3, zero)),
+             make_state(4, np.kron(zero, ghz3))]
+    states = [scramble_special(base, (5417, k, trial))
+              for k, base in enumerate(bases) for trial in range(4)]
+    states += [random_state(4, (5417, k)) for k in range(24)]
+    for state in states + bases:
+        for has_four_body in (False, True):
+            assert classify_module._magic_frame(normalize(state).amps, has_four_body,
+                                                1e-9) is None

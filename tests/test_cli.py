@@ -329,6 +329,32 @@ def test_repeated_parameter_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", (
+    ("catalog", "GHZ4", "=1"),
+    ("catalog", "Psi_a", "a=1", " =1"),
+    ("catalog", "Psi_a", "--param", "=1"),
+    ("sweep", "--family", "Psi_ab", "--param", "a=1", "--param", "=1", "--param", "b=1"),
+), ids=" ".join)
+def test_empty_parameter_name_exit_2(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    text = next(a for a in argv if a.strip().startswith("="))
+    assert err == f"error: parameter {text!r} has no name before '='\n"
+    assert not out_path.exists()
+
+
+def test_restarts_over_the_cap_exit_2(tmp_path, capsys):
+    # refused before the search sets up a row of angles per restart
+    path = tmp_path / "ghz4.txt"
+    write_state_file(str(path), catalog_state("GHZ4"))
+    code, out, err = run(capsys, "classify", "--in", str(path), "--font-min",
+                         "--restarts", "1000000000000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: restarts must be an integer in 0..100000, "
+                   "got 1000000000000000\n")
+
+
+@pytest.mark.parametrize("argv", (
     ("classify", "--font-min", "--seed", "-1"),
     ("classify", "--seed", "-1"),
     ("classify", "--font-min", "--restarts", "-1"),
