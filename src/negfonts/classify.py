@@ -129,27 +129,20 @@ def classify(state: PureState, tol: float = DEFAULT_TOL,
 
 
 def _exponent_table() -> np.ndarray:
-    """(12, 36) map from Euler angles to the exponents of `_rotated_amps`.
+    """(8, 20) map from Euler angles to the exponents of `_rotated_amps`.
 
-    exp(1j * thetas @ table) holds the phase Rz(g) puts on each basis index,
-    the phase Rz(a) puts on each basis index, and exp(1j * b / 2) of each
-    qubit.  Rz(t) on qubit q multiplies amplitude k by exp(1j * t * (bit - 1/2))
-    for bit q of k.  `_rotated_amps` reads the Rz(a) columns from
-    `_A_EXPONENTS` and the other 20 from `_GB_EXPONENTS`, so a caller can form
-    the Rz(a) phases once for angles whose a components do not change.
+    exp(1j * thetas @ table) holds the phase Rz(g) puts on each basis index
+    and exp(1j * b / 2) of each qubit.  Rz(t) on qubit q multiplies amplitude
+    k by exp(1j * t * (bit - 1/2)) for bit q of k.
     """
     half_bits = ((np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1) - 0.5
-    table = np.zeros((4, 3, 36))
-    table[:, 2, :16] = half_bits
-    table[:, 0, 16:32] = half_bits
-    table[np.arange(4), 1, 32 + np.arange(4)] = 0.5
-    return table.reshape(12, 36)
+    table = np.zeros((4, 2, 20))
+    table[:, 1, :16] = half_bits
+    table[np.arange(4), 0, 16 + np.arange(4)] = 0.5
+    return table.reshape(8, 20)
 
 
 _EXPONENTS = _exponent_table()
-# all 12 rows stay in both tables: the zero products set the signed zeros
-_A_EXPONENTS = np.ascontiguousarray(_EXPONENTS[:, 16:32])
-_GB_EXPONENTS = np.delete(_EXPONENTS, np.s_[16:32], 1)
 
 
 def _ry_kron_index(qa: int, qb: int) -> np.ndarray:
@@ -162,36 +155,21 @@ def _ry_kron_index(qa: int, qb: int) -> np.ndarray:
 
 # L = Ry1 x Ry2 and R^T = (Ry3 x Ry4)^T, as pairs of factor indices
 _KRON = np.stack([_ry_kron_index(0, 1), _ry_kron_index(2, 3).swapaxes(-1, -2)])
-# the same factors read from the `_GB_EXPONENTS` exponentials seen as floats,
-# where the cosine and sine of qubit q's half angle are floats 32 + 2q and
-# 33 + 2q, and the sign of each entry of L and R^T, which is where the -sin
-# factors went
+# the same factors as floats of the `_EXPONENTS` exponentials (qubit q's
+# half-angle cosine and sine are floats 32 + 2q and 33 + 2q), and the sign of
+# each entry of L and R^T, which is where the -sin factors went
 _KRON_FLOATS = 32 + 2 * (_KRON % 4) + (_KRON >= 4)
 _KRON_SIGNS = np.where(_KRON >= 8, -1.0, 1.0).prod(1)
 
-# Rz(a) is the outermost factor of each qubit's rotation and only puts phases
-# on the amplitudes, which changes no |minor| and no |amplitude|: the
-# surrogate and the objective are flat along the four a angles, so Powell
-# searches the other eight directions and the a angles keep their start values
-_SEARCHED = np.eye(12)[np.arange(12) % 3 != 0]
 
+def _rotated_amps(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Four-qubit amplitudes after Ry(b) Rz(g) on each qubit.
 
-def _a_phases(thetas: np.ndarray) -> np.ndarray:
-    """The phases Rz(a) puts on each basis index: (..., 12) angles -> (..., 16)."""
-    return np.exp(1j * np.einsum("...i,ij->...j", thetas, _A_EXPONENTS))
-
-
-def _rotated_amps(amps: np.ndarray, thetas: np.ndarray,
-                  a_phases: np.ndarray | None = None) -> np.ndarray:
-    """Four-qubit amplitudes after Rz(a) Ry(b) Rz(g) on each qubit.
-
-    `thetas` holds (a, b, g) for qubits 1-4 on its last axis: (..., 12) ->
-    (..., 16).  The z-rotations only multiply amplitudes by phases, Rz(g)
-    before and Rz(a) after the y-rotations.  One `exp` of the angles times
-    `_GB_EXPONENTS` gives the Rz(g) phases and the half-angle cosines and
-    sines; the Rz(a) phases are `a_phases`, by default `_a_phases(thetas)`.
-    Phases formed from other angles with the same a components give the same
-    values, though a zero may differ in sign.
+    `thetas` holds (b, g) for qubits 1-4 on its last axis: (..., 8) ->
+    (..., 16).  A last Rz(a) would only put phases on the amplitudes, the same
+    on both products of each minor, so it changes no |minor| and no
+    |amplitude| and is left out.  One `exp` of the angles times `_EXPONENTS`
+    gives the Rz(g) phases and the half-angle cosines and sines.
     The y-rotations are real: with the amplitudes as a 4x4 matrix X (rows:
     qubits 1-2, columns: qubits 3-4), (Y1 x Y2 x Y3 x Y4) vec(X) is
     vec(L X R^T) for L = Y1 x Y2 and R = Y3 x Y4, so the 16x16 product is
@@ -199,17 +177,15 @@ def _rotated_amps(amps: np.ndarray, thetas: np.ndarray,
     """
     thetas = np.asarray(thetas, dtype=float)
     lead = thetas.shape[:-1]
-    if a_phases is None:
-        a_phases = _a_phases(thetas)
-    # einsum without `optimize` calls no BLAS and adds the 12 terms in order:
+    # einsum without `optimize` calls no BLAS and adds the 8 terms in order:
     # each row's exponents then do not depend on how many rows share the call
-    z = np.exp(1j * np.einsum("...i,ij->...j", thetas, _GB_EXPONENTS))
+    z = np.exp(1j * np.einsum("...i,ij->...j", thetas, _EXPONENTS))
     factors = z.view(float)[..., _KRON_FLOATS]
     # the matmuls would cast the real factors to complex, each on its own
     kron = (factors[..., 0, :, :] * factors[..., 1, :, :] * _KRON_SIGNS).astype(complex)
     x = (z[..., :16] * amps).reshape(lead + (4, 4))
     rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
-    return a_phases * rotated.reshape(lead + (16,))
+    return rotated.reshape(lead + (16,))
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -219,16 +195,14 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None,
-               a_phases: np.ndarray | None = None) -> np.ndarray:
-    """The smooth objective Powell minimizes, (..., 12) angles -> (...) values.
+def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None) -> np.ndarray:
+    """The smooth objective Powell minimizes, (..., 8) angles -> (...) values.
 
-    `watch`, when given, is shown the minor moduli of the rotated frames;
-    `a_phases` goes to `_rotated_amps`.
+    `watch`, when given, is shown the minor moduli of the rotated frames.
     """
     # sqrt concentrates weight near zero, favoring sparse det profiles; the
     # amplitude term steers ties toward frames with few product terms
-    out = _rotated_amps(amps, thetas, a_phases)
+    out = _rotated_amps(amps, thetas)
     moduli = np.abs(_minors(out))
     if watch is not None:
         watch(moduli)
@@ -378,10 +352,8 @@ def _start_frame(amps: np.ndarray, has_four_body: bool) -> np.ndarray:
 _MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
 # M diag(d) M^T, flattened, is d @ _MAGIC_TERMS
 _MAGIC_TERMS = np.einsum("ik,jk->kij", _MAGIC, _MAGIC).reshape(4, 16)
-# the 24 orders of four entries with their signs, and the 8 even sign patterns
+# the 24 orders of four entries, and the 8 even sign patterns
 _ORDERS = np.array(list(permutations(range(4))))
-_ORDER_SIGNS = np.array([(-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
-                         for p in _ORDERS.tolist()])
 _EVEN_SIGNS = np.array([s for s in product((1, -1), repeat=4) if np.prod(s) == 1])
 
 
@@ -417,8 +389,7 @@ def _magic_frame(amps: np.ndarray, has_four_body: bool, tol: float) -> np.ndarra
             or np.abs(r[~keep]).max(initial=0.0) > 1e-6):
         return None
     d = np.where(keep, d, 0)
-    # det O1 det O2 = det(O1 O2^T), as a sum of 24 permutation terms
-    if _ORDER_SIGNS @ (o1 @ o2t)[np.arange(4), _ORDERS].prod(-1) < 0:
+    if np.linalg.det(o1 @ o2t) < 0:         # det O1 det O2
         d[0] = -d[0]
     frames = (d[_ORDERS][:, None] * _EVEN_SIGNS).reshape(-1, 4) @ _MAGIC_TERMS
     scores = _scores(frames, tol, has_four_body).tolist()
@@ -430,8 +401,9 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     """Best-effort search for a local-unitary frame with the fewest nonzero fonts.
 
     Derivative-free Powell search over the eight Euler angles that can change
-    the objective (`_SEARCHED`), from `restarts` starts run in lock-step.  The
-    accepted objective is lexicographic over the canonical fonts of qubit 1:
+    the objective, (b, g) of Ry(b) Rz(g) on each qubit, from `restarts` starts
+    run in lock-step.  The accepted objective is lexicographic over the
+    canonical fonts of qubit 1:
 
         (count above tolerance,
          0 if 4-way-font presence agrees with the degree-8 invariant else 1,
@@ -447,7 +419,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     Tolerances are absolute on that vector, and the frame is returned
     normalized.  Restart 0 starts at `_magic_frame` of that vector, the exact
     normal form on the G_abcd orbits, or at its `_start_frame` where there is
-    no magic frame; the random restarts are Euler angles applied to that frame.
+    no magic frame; the random restarts apply random (b, g) to that frame.
 
     The search is anytime: all restarts end together once the best
     (count, penalty) over every frame evaluated so far, read from the
@@ -471,25 +443,14 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     best_vec = amps
     best = _row(_scores(amps, tol, has_four_body))
     trace = [(0, *best)]
-    starts = np.zeros((restarts, 12))
+    starts = np.zeros((restarts, 8))
     for restart in range(1, restarts):
-        starts[restart] = np.random.default_rng((seed, restart)).uniform(0, 2 * np.pi, 12)
+        starts[restart] = np.random.default_rng((seed, restart)).uniform(0, 2 * np.pi, 8)
     # Powell's fixed tolerances are moderate; they suffice because the sqrt
     # surrogate keeps shrinking visibly until dets sit well below `tol`
     stall = _Stall(tol, has_four_body)
-    # no search direction moves an a angle, and `minimize` passes the pending
-    # starts in start order and never brings back one that ended: while the
-    # row count holds, the Rz(a) phases of the rows do too
-    a_phases = np.empty((0, 16), dtype=complex)
-
-    def surrogate(thetas: np.ndarray) -> np.ndarray:
-        nonlocal a_phases
-        if len(thetas) != len(a_phases):
-            a_phases = _a_phases(thetas)
-        return _surrogate(amps, thetas, stall.watch, a_phases)
-
-    result = minimize(surrogate, starts, maxiter=iters, direc=_SEARCHED, stop=stall)
-    # fresh phases: cached ones may differ from them in the sign of a zero
+    result = minimize(lambda thetas: _surrogate(amps, thetas, stall.watch), starts,
+                      maxiter=iters, stop=stall)
     vecs = _rotated_amps(amps, result.x)
     for restart, (vec, score) in enumerate(zip(vecs, _scores(vecs, tol, has_four_body))):
         candidate = _row(score)

@@ -2,9 +2,9 @@
 
 A step-for-step port of the unbounded path of scipy's
 `minimize(method="Powell")` (scipy 1.17: `bracket`, `Brent.optimize`,
-`_linesearch_powell` and `_minimize_powell`) at scipy's `xtol=XTOL`, `ftol=FTOL`.
-With the identity direction set, one start makes the same evaluations as scipy
-and ends at the same point.  Bounds, callbacks and `maxfev` are not ported.
+`_linesearch_powell` and `_minimize_powell`) at scipy's `xtol=XTOL`, `ftol=FTOL`
+and default direction set.  One start makes the same evaluations as scipy and
+ends at the same point.  Bounds, callbacks, `direc` and `maxfev` are not ported.
 
 Each stage is a generator: it yields the step alpha it needs evaluated along
 its start's current line p + alpha xi, and is sent back the value there.
@@ -28,13 +28,16 @@ import numpy as np
 
 _GOLD = 1.618034            # bracket growth ratio, (1 + sqrt(5)) / 2
 _CG = 0.3819660             # golden-section fraction, (3 - sqrt(5)) / 2
+_GROW_LIMIT = 110.0         # longest parabolic step of the bracket, in units of xc - xb
+_BRACKET_MAXITER = 1000     # bracket steps before the walk gives up
+_BRENT_MAXITER = 500        # Brent steps per line search
 _MINTOL = 1.0e-11           # absolute part of Brent's tolerance
 _VERYSMALL = 1e-21          # guards the parabolic-extrapolation denominator
 XTOL = 1e-6                 # Brent's relative tolerance is 100 * XTOL
 FTOL = 1e-8                 # relative gain below which a sweep ends the search
 
 
-def _bracket(grow_limit: float = 110.0, maxiter: int = 1000):
+def _bracket():
     """Walk downhill from alpha = 0, 1 until a minimum is bracketed.
 
     Returns (xa, xb, xc, fa, fb, fc, valid); `valid` is False when the walk
@@ -55,8 +58,8 @@ def _bracket(grow_limit: float = 110.0, maxiter: int = 1000):
         val = tmp2 - tmp1
         denom = 2.0 * _VERYSMALL if abs(val) < _VERYSMALL else 2.0 * val
         w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
-        wlim = xb + grow_limit * (xc - xb)
-        if iterations > maxiter:
+        wlim = xb + _GROW_LIMIT * (xc - xb)
+        if iterations > _BRACKET_MAXITER:
             raise RuntimeError("no valid bracket was found before the iteration limit")
         iterations += 1
         if (w - xc) * (xb - w) > 0.0:
@@ -91,7 +94,7 @@ def _bracket(grow_limit: float = 110.0, maxiter: int = 1000):
     return xa, xb, xc, fa, fb, fc, valid
 
 
-def _brent(tol: float, maxiter: int = 500):
+def _brent(tol: float):
     """Brent's minimization along the current line; returns (alpha, f at alpha)."""
     xa, xb, xc, fa, fb, fc, valid = yield from _bracket()
     if not valid:
@@ -103,7 +106,7 @@ def _brent(tol: float, maxiter: int = 500):
     fw = fv = fx = fb
     a, b = (xa, xc) if xa < xc else (xc, xa)
     deltax = rat = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         tol1 = tol * abs(x) + _MINTOL
         tol2 = 2.0 * tol1
         xmid = 0.5 * (a + b)
@@ -168,9 +171,8 @@ def _linesearch(fval: float, p: np.ndarray, xi: np.ndarray, tol: float, line: np
     return fret, p + xi, xi
 
 
-def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray,
-            line: np.ndarray):
-    """One Powell search from x0 over the rows of `direc` (updated in place).
+def _powell(x0: np.ndarray, maxiter: int, sweeps: np.ndarray, line: np.ndarray):
+    """One Powell search from x0, its direction set starting at the n unit vectors.
 
     Counts its finished sweeps in the one-element array `sweeps`, so that a
     search stopped from outside still reports them, and writes each line it
@@ -178,6 +180,7 @@ def _powell(x0: np.ndarray, direc: np.ndarray, maxiter: int, sweeps: np.ndarray,
     the objective at x0, which `minimize` evaluates for all starts.
     """
     x = np.array(x0, dtype=float)
+    direc = np.eye(len(x))
     fval = yield
     x1 = x.copy()
     while True:
@@ -223,18 +226,15 @@ class PowellResult(NamedTuple):
     rounds: int             # batched calls of the objective
 
 
-def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc=None,
+def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int,
              stop: Callable[[], bool] | None = None) -> PowellResult:
     """Run Powell's method from every row of `x0` in lock-step.
 
     `fun` maps a (k, n) array of points to their k values.  Every start is
-    an independent search with its own copy of `direc` (default: the n unit
-    vectors); a start that searches fewer directions than n keeps its other
-    coordinates fixed.  Each round evaluates the pending points of all
-    unfinished starts in one `fun` call, one row per start in start order; a
-    start that ends never comes back, so a call with as many rows as the one
-    before it is for the same starts.  `font_minimize` relies on this to
-    form the phases of its fixed a angles once per set of pending starts.
+    an independent search over its own copy of the n unit vectors.  Each
+    round evaluates the pending points of all unfinished starts in one `fun`
+    call, one row per start in start order; a start that ends never comes
+    back.
 
     `stop`, when given, is called after every round; once it returns True,
     the unfinished starts end at the lowest point they have evaluated.
@@ -244,12 +244,11 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], x0, *, maxiter: int, direc
     if starts.ndim == 1:
         starts = starts[None]
     n = starts.shape[1]
-    direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
     nit = np.zeros(len(starts), dtype=int)
     # per start: the line (p, xi) its pending point lies on, a row of line_p and line_xi
     lines = np.zeros((2,) + starts.shape)
     line_p, line_xi = lines
-    runs = [_powell(x, direc.copy(), maxiter, nit[i:i + 1], lines[:, i])
+    runs = [_powell(x, maxiter, nit[i:i + 1], lines[:, i])
             for i, x in enumerate(starts)]
     for run in runs:
         next(run)

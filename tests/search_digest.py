@@ -3,8 +3,11 @@
 Two commits that print the same digest ran every search bit for bit alike:
 the digest covers each frame's amplitude bytes and each trace row.  For every
 stream and trial, the catalog targets GHZ4 and W4 (4 restarts) and C1 (16
-restarts) are scrambled with `scramble_special(state, (stream, target, trial))`
-and searched by `font_minimize` at `iters=60` and `seed=trial`.
+restarts), then the Haar states `random_state(4, seed)` for seeds 1, 2 and 3
+(16 restarts), are scrambled with `scramble_special(state, (stream, target,
+trial))` and searched by `font_minimize` at `iters=60` and `seed=trial`.
+Restart 0 wins every search of the catalog targets; on the Haar states the
+random restarts win too, so a change to them shows here.
 
     PYTHONPATH=src python3 tests/search_digest.py --trials 24 --streams 8101 8111
 
@@ -19,17 +22,19 @@ import argparse
 import hashlib
 
 from helpers import scramble_special
-from negfonts import catalog_state, font_minimize, normalize
+from negfonts import catalog_state, font_minimize, normalize, random_state
 
 TARGETS = (("GHZ4", 4), ("W4", 4), ("C1", 16))
+HAAR_SEEDS = (1, 2, 3)
 ITERS = 60
 
 
 def search_digest(streams, trials: int) -> str:
     digest = hashlib.sha256()
+    bases = [(normalize(catalog_state(name)), restarts) for name, restarts in TARGETS]
+    bases += [(random_state(4, seed), 16) for seed in HAAR_SEEDS]
     for stream in streams:
-        for k, (name, restarts) in enumerate(TARGETS):
-            base = normalize(catalog_state(name))
+        for k, (base, restarts) in enumerate(bases):
             for trial in range(trials):
                 state = scramble_special(base, (stream, k, trial))
                 frame, trace = font_minimize(state, restarts=restarts, iters=ITERS,

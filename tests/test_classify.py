@@ -400,8 +400,8 @@ def test_stall_key_is_count_and_penalty_of_scores():
     states = [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
     states.append(random_state(4, 5311))
     for state in states:
-        thetas = rng.uniform(0, 2 * np.pi, (16, 12))
-        thetas[::2, 1::3] = 0.0             # some frames keep the sparse catalog form
+        thetas = rng.uniform(0, 2 * np.pi, (16, 8))
+        thetas[::2, ::2] = 0.0              # some frames keep the sparse catalog form
         frames = _rotated_amps(state.amps, thetas)
         for tol in (1e-9, 1e-3, 0.05):
             for has_four_body in (False, True):
@@ -457,12 +457,14 @@ def test_font_minimize_trace_layout():
             assert trace[-1][1:] == classify_module._row(score), (name, trace)
 
 
-def _euler_reference(a, b, g):
-    def rz(t):
-        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+def _rz_phases(t):
+    """The diagonal of Rz(t) = diag(exp(-i t/2), exp(i t/2))."""
+    return np.exp(0.5j * t * np.array([-1, 1]))
 
+
+def _euler_reference(b, g):
     ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
-    return rz(a) @ ry @ rz(g)
+    return ry @ np.diag(_rz_phases(g))
 
 
 def _font_columns(spec):
@@ -484,8 +486,8 @@ def test_surrogate_kernels_match_references():
     rng = np.random.default_rng(1301)
     vectors = [haar.amps]
     for _ in range(50):
-        thetas = rng.uniform(0, 2 * np.pi, 12)
-        u = reduce(np.kron, [_euler_reference(*thetas[3 * q:3 * q + 3]) for q in range(4)])
+        thetas = rng.uniform(0, 2 * np.pi, 8)
+        u = reduce(np.kron, [_euler_reference(*thetas[2 * q:2 * q + 2]) for q in range(4)])
         rotated = _rotated_amps(haar.amps, thetas)
         np.testing.assert_allclose(rotated, u @ haar.amps, rtol=0, atol=1e-13)
         vectors.append(rotated)
@@ -504,24 +506,27 @@ def test_font_minimize_drift_is_typed(monkeypatch):
 
 
 def test_surrogate_and_objective_flat_along_a_angles():
-    # Rz(a) acts last and only puts phases on the amplitudes; this is why
-    # the search leaves the four a angles out of its direction set
+    # a last Rz(a) on each qubit only puts phases on the amplitudes, and both
+    # products of a minor pick up the same phase; this is why the search
+    # leaves the four a angles out
     rng = np.random.default_rng(4211)
     states = [random_state(4, 4211 + k) for k in range(4)]
     states += [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
     for state in states:
         for k in range(8):
-            thetas = rng.uniform(0, 2 * np.pi, 12)
+            thetas = rng.uniform(0, 2 * np.pi, 8)
             if k % 2:
-                thetas[1::3] = 0.0          # a catalog state keeps its sparse frame
-            shifted = np.tile(thetas, (4, 1))
-            shifted[np.arange(4), 3 * np.arange(4)] += rng.uniform(0, 2 * np.pi, 4)
-            values = classify_module._surrogate(state.amps, np.vstack([thetas, shifted]))
-            np.testing.assert_allclose(values[1:], values[0], rtol=0, atol=1e-12)
+                thetas[::2] = 0.0           # a catalog state keeps its sparse frame
+            frame = _rotated_amps(state.amps, thetas)
+            phased = [reduce(np.kron, map(_rz_phases, rng.uniform(0, 2 * np.pi, 4))) * frame
+                      for _ in range(4)]
+            # at zero angles the surrogate reads the vector it is given
+            values = [classify_module._surrogate(vec, np.zeros(8)) for vec in phased]
+            expected = classify_module._surrogate(state.amps, thetas)
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
             for has_four_body in (False, True):
-                scores = classify_module._scores(
-                    _rotated_amps(state.amps, np.vstack([thetas, shifted])),
-                    1e-9, has_four_body)
+                scores = classify_module._scores(np.vstack([frame, *phased]), 1e-9,
+                                                 has_four_body)
                 np.testing.assert_array_equal(scores[1:, [0, 1, 3]],
                                               np.broadcast_to(scores[0, [0, 1, 3]], (4, 3)))
                 np.testing.assert_allclose(scores[1:, 2], scores[0, 2], rtol=0, atol=1e-12)
@@ -534,12 +539,12 @@ def _reference_rotated_amps(amps, thetas):
     thetas = np.asarray(thetas, dtype=float)
     lead = thetas.shape[:-1]
     z = np.exp(1j * (thetas[..., None] * classify_module._EXPONENTS).sum(-2))
-    half = z[..., 32:]
+    half = z[..., 16:]
     factors = np.concatenate([half.real, half.imag, -half.imag], -1)[..., classify_module._KRON]
     kron = factors[..., 0, :, :] * factors[..., 1, :, :]
     x = (z[..., :16] * amps).reshape(lead + (4, 4))
     rotated = kron[..., 0, :, :] @ x @ kron[..., 1, :, :]
-    return z[..., 16:32] * rotated.reshape(lead + (16,))
+    return rotated.reshape(lead + (16,))
 
 
 def _reference_surrogate(amps, thetas):
@@ -554,12 +559,12 @@ def _bits(values):
 
 def test_surrogate_rows_do_not_depend_on_the_batch_bit_for_bit():
     rng = np.random.default_rng(4219)
-    thetas = rng.uniform(0, 2 * np.pi, (33, 12))
+    thetas = rng.uniform(0, 2 * np.pi, (33, 8))
     thetas[3] = 0.0
     thetas[4] = -0.0
-    zeros = rng.random((33, 12)) < 0.3
+    zeros = rng.random((33, 8)) < 0.3
     thetas[20:][zeros[20:]] = rng.choice([0.0, -0.0], zeros[20:].sum())
-    thetas[30] = rng.choice([0.0, -0.0, -1.5], 12)
+    thetas[30] = rng.choice([0.0, -0.0, -1.5], 8)
     states = [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1", "Dicke42")]
     states += [random_state(4, 4219 + k) for k in range(3)]
     for state in states:
@@ -575,52 +580,6 @@ def test_surrogate_rows_do_not_depend_on_the_batch_bit_for_bit():
                 for start in range(0, 33, size):
                     batch = kernel(amps, thetas[start:start + size])
                     assert _bits(batch) == _bits(alone[start:start + size])
-
-
-def test_split_rotation_matches_bit_for_bit():
-    # the font search forms the Rz(a) phases once from its start rows and
-    # hands them to every later round; the a angles never move, so those
-    # phases must give the surrogate's bits, and the default phases the
-    # bits of the one-table rotation
-    rng = np.random.default_rng(4237)
-    states = [random_state(4, 4237)]
-    states += [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
-    a_phases = classify_module._a_phases
-    for state in states:
-        amps = state.amps
-        for shape in [(12,), (1, 12), (4, 12), (16, 12)] * 200:
-            thetas = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
-            rows = thetas.reshape(-1, 12)
-            rows[::3, ::3] = 0.0                # some rows have a = 0
-            starts = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
-            starts.reshape(-1, 12)[:, ::3] = rows[:, ::3]
-            rotated = _rotated_amps(amps, thetas)
-            assert _bits(rotated) == _bits(_rotated_amps(amps, thetas, a_phases(thetas)))
-            assert _bits(rotated) == _bits(_reference_rotated_amps(amps, thetas))
-            # phases of other b and g give the same values, up to signed zeros
-            np.testing.assert_array_equal(
-                _rotated_amps(amps, thetas, a_phases(starts)), rotated)
-            values = classify_module._surrogate(amps, thetas)
-            assert _bits(values) == _bits(classify_module._surrogate(amps, thetas, None,
-                                                                     a_phases(starts)))
-
-
-
-def test_font_search_hands_each_round_the_a_phases_of_its_rows(monkeypatch):
-    # the search keeps its Rz(a) phases while the pending starts stay the
-    # same; here restarts end at different rounds, so they are formed anew
-    seen = []
-    surrogate = classify_module._surrogate
-
-    def spy(amps, thetas, watch=None, a_phases=None):
-        seen.append(len(thetas))
-        np.testing.assert_array_equal(a_phases, classify_module._a_phases(thetas))
-        return surrogate(amps, thetas, watch, a_phases)
-
-    monkeypatch.setattr(classify_module, "_surrogate", spy)
-    state = scramble_special(normalize(catalog_state("C1")), (4241, 0))
-    font_minimize(state, restarts=16, iters=2)
-    assert seen[0] == 16 and len(set(seen)) > 2
 
 
 # four-qubit catalog states, with parameters for the families: c07's points

@@ -36,7 +36,7 @@ def test_matches_scipy_powell():
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(4127)
     cases = [(rosenbrock, np.array([-1.2, 1.0, 0.5, -0.3])), (rosenbrock, np.zeros(3))]
-    cases += [(f, rng.uniform(0, 2 * np.pi, 12)) for f in scrambled_surrogates(3)]
+    cases += [(f, rng.uniform(0, 2 * np.pi, 8)) for f in scrambled_surrogates(3)]
     for fun, x0 in cases:
         ref = optimize.minimize(fun, x0, method="Powell",
                                 options={**OPTIONS, "xtol": XTOL, "ftol": FTOL})
@@ -54,17 +54,14 @@ def test_lockstep_equals_single_runs():
     def surrogate(thetas):
         return classify_module._surrogate(state.amps, thetas)
 
-    starts = np.random.default_rng(4127).uniform(0, 2 * np.pi, (5, 12))
+    starts = np.random.default_rng(4127).uniform(0, 2 * np.pi, (5, 8))
     starts[0] = 0.0
-    lockstep = minimize(surrogate, starts, direc=classify_module._SEARCHED, **OPTIONS)
-    singles = [minimize(surrogate, x0, direc=classify_module._SEARCHED, **OPTIONS)
-               for x0 in starts]
-    assert lockstep.x.shape == (5, 12)
+    lockstep = minimize(surrogate, starts, **OPTIONS)
+    singles = [minimize(surrogate, x0, **OPTIONS) for x0 in starts]
+    assert lockstep.x.shape == (5, 8)
     assert lockstep.nfev == sum(single.nfev for single in singles)
     for row, single in zip(lockstep.x, singles):
         np.testing.assert_allclose(row, single.x[0], rtol=0, atol=1e-12)
-    # the direction set leaves the a angle of every qubit at its start value
-    np.testing.assert_array_equal(lockstep.x[:, ::3], starts[:, ::3])
 
 
 def test_no_starts():
@@ -80,11 +77,10 @@ def test_a_stop_hook_that_never_fires_changes_nothing():
     def surrogate(thetas):
         return classify_module._surrogate(state.amps, thetas)
 
-    starts = np.random.default_rng(4129).uniform(0, 2 * np.pi, (4, 12))
+    starts = np.random.default_rng(4129).uniform(0, 2 * np.pi, (4, 8))
     calls = []
-    ref = minimize(surrogate, starts, direc=classify_module._SEARCHED, **OPTIONS)
-    got = minimize(surrogate, starts, direc=classify_module._SEARCHED,
-                   stop=lambda: calls.append(1) and False, **OPTIONS)
+    ref = minimize(surrogate, starts, **OPTIONS)
+    got = minimize(surrogate, starts, stop=lambda: calls.append(1) and False, **OPTIONS)
     np.testing.assert_array_equal(got.x, ref.x)
     np.testing.assert_array_equal(got.fun, ref.fun)
     np.testing.assert_array_equal(got.nit, ref.nit)
@@ -107,13 +103,13 @@ def test_a_stop_hook_ends_every_start_at_its_lowest_point(after):
     def f(x):
         return classify_module._surrogate(state.amps, x[None])[0]
 
-    starts = np.random.default_rng(4131).uniform(0, 2 * np.pi, (5, 12))
+    starts = np.random.default_rng(4131).uniform(0, 2 * np.pi, (5, 8))
     calls = []
-    result = minimize(surrogate, starts, direc=classify_module._SEARCHED,
+    result = minimize(surrogate, starts,
                       stop=lambda: calls.append(1) or len(calls) == after, **OPTIONS)
     assert result.rounds == after
     assert result.nfev == len(evaluated)
-    assert result.x.shape == (5, 12)
+    assert result.x.shape == (5, 8)
     assert np.all(np.isfinite(result.fun))
     for x, fun in zip(result.x, result.fun):
         assert fun == f(x)
@@ -123,21 +119,22 @@ def test_a_stop_hook_ends_every_start_at_its_lowest_point(after):
     assert np.all(result.nit <= OPTIONS["maxiter"])
 
 
-def test_pending_starts_keep_their_order_and_their_a_columns():
-    # the font search forms its Rz(a) phases once per row count; that holds
-    # because the rows of a call are the unfinished starts in start order,
-    # and no search direction moves an a angle
+def test_pending_starts_keep_their_order():
+    # the rows of a call are the unfinished starts in start order, and a
+    # start that ended never comes back
     ghz = normalize(catalog_state("GHZ4"))
     state = scramble_special(ghz, (4127, 95))
-    calls = []
 
-    def surrogate(thetas):
-        calls.append(thetas.copy())
-        return classify_module._surrogate(state.amps, thetas)
+    def recorded(calls):
+        def surrogate(thetas):
+            calls.append(thetas.copy())
+            return classify_module._surrogate(state.amps, thetas)
+        return surrogate
 
-    starts = np.random.default_rng(4137).uniform(0, 2 * np.pi, (5, 12))
+    starts = np.random.default_rng(4137).uniform(0, 2 * np.pi, (5, 8))
     starts[0] = 0.0
-    result = minimize(surrogate, starts, maxiter=2, direc=classify_module._SEARCHED,
+    calls = []
+    result = minimize(recorded(calls), starts, maxiter=2,
                       stop=lambda: len(calls[-1]) == 2)
     sizes = [len(points) for points in calls]
     assert result.rounds == len(calls)
@@ -145,16 +142,17 @@ def test_pending_starts_keep_their_order_and_their_a_columns():
     assert sizes[0] == 5 and sizes[-1] == 2 and sorted(set(sizes)) == [2, 3, 4, 5]
     assert sizes.count(2) == 1 and (result.nit < 2).any()
     assert sizes == sorted(sizes, reverse=True)
-    columns = [row.tobytes() for row in starts[:, ::3]]
-    by_size = {}
-    for points in calls:
-        rows = iter(columns)
-        assert all(row.tobytes() in rows for row in points[:, ::3])
-        assert by_size.setdefault(len(points), points[:, ::3].tobytes()) == \
-            points[:, ::3].tobytes()
+    # round r's rows are the r-th points of the starts still running, in order
+    singles = []
+    for x0 in starts:
+        singles.append([])
+        minimize(recorded(singles[-1]), x0, maxiter=2)
+    for r, points in enumerate(calls):
+        running = [single[r] for single in singles if len(single) > r]
+        np.testing.assert_array_equal(points, np.vstack(running))
 
 
-def reference_minimize(fun, x0, *, maxiter, direc=None, stop=None):
+def reference_minimize(fun, x0, *, maxiter, stop=None):
     """The lock-step driver as first written: each start's pending point is a
     triple (p, xi, alpha), and a round stacks the triples column by column.
 
@@ -165,10 +163,9 @@ def reference_minimize(fun, x0, *, maxiter, direc=None, stop=None):
     if starts.ndim == 1:
         starts = starts[None]
     n = starts.shape[1]
-    direc = np.eye(n) if direc is None else np.asarray(direc, dtype=float)
     nit = np.zeros(len(starts), dtype=int)
     lines = [np.zeros((2, n)) for _ in starts]
-    runs = [powell_module._powell(x, direc.copy(), maxiter, nit[i:i + 1], lines[i])
+    runs = [powell_module._powell(x, maxiter, nit[i:i + 1], lines[i])
             for i, x in enumerate(starts)]
     for run in runs:
         next(run)
@@ -220,15 +217,13 @@ def test_the_driver_matches_the_triple_stacking_driver_bit_for_bit(count):
         calls = []
         return lambda: calls.append(1) or len(calls) == rounds
 
-    starts = np.random.default_rng((4133, count)).uniform(0, 2 * np.pi, (count, 12))
+    starts = np.random.default_rng((4133, count)).uniform(0, 2 * np.pi, (count, 8))
     starts[0] = 0.0
     partial_seen = False
     for maxiter, rounds in [(60, None), (60, 1), (60, 2), (60, 37), (60, 400),
                             (1, None), (2, None), (2, 37)]:
-        got = minimize(surrogate, starts, maxiter=maxiter, direc=classify_module._SEARCHED,
-                       stop=after(rounds))
+        got = minimize(surrogate, starts, maxiter=maxiter, stop=after(rounds))
         ref, partial = reference_minimize(surrogate, starts, maxiter=maxiter,
-                                          direc=classify_module._SEARCHED,
                                           stop=after(rounds))
         partial_seen |= partial
         assert got.x.tobytes() == ref.x.tobytes()
