@@ -210,9 +210,9 @@ def _surrogate(amps: np.ndarray, thetas: np.ndarray, watch=None) -> np.ndarray:
             + 0.5 * _row_sums(np.sqrt(np.abs(out))))
 
 
-# the font search ends once the best (count, penalty) over every frame it has
-# evaluated has not improved for this many lock-step rounds; chosen on
-# held-out scrambles, see the README's "Font search" section
+# the font search ends once the best font count over every frame it has
+# evaluated has not fallen for this many lock-step rounds; chosen on held-out
+# scrambles, see the README's "Font search" section
 _STALL_ROUNDS = 450
 
 
@@ -220,29 +220,21 @@ class _Stall:
     """Stop hook of the lock-step search: its best font count has stalled.
 
     `watch` reads the minor moduli of each round's frames, as `_surrogate`
-    forms them, and keeps the best of the first two `_scores` fields (count
-    above `threshold`, penalty) over every frame evaluated so far, as the key
-    2 * count + penalty.  Called, the hook says whether that best is at least
-    `_STALL_ROUNDS` rounds old.
+    forms them, and keeps the fewest moduli above `threshold` (the first
+    `_scores` field) over every frame evaluated so far.  Called, the hook says
+    whether that best is at least `_STALL_ROUNDS` rounds old.
     """
 
-    def __init__(self, threshold: float, has_four_body: bool):
-        four = _order_mask(4, 4)
-        # code = (fonts of order < 4 above) + 32 * (4-way fonts above); the 24
-        # lower-order fonts stay below 32, and `keys` maps each code to its
-        # key, so a round costs one matmul and one lookup
-        self.weights = np.where(four, 32, 1)
-        n4, lower = np.divmod(np.arange(32 * (int(four.sum()) + 1)), 32)
-        self.keys = 2 * (lower + n4) + ((n4 > 0) != has_four_body)
+    def __init__(self, threshold: float):
         self.threshold = threshold
         self.best = np.inf
         self.rounds = self.improved = 0
 
     def watch(self, moduli: np.ndarray) -> None:
         self.rounds += 1
-        key = self.keys[(moduli > self.threshold) @ self.weights].min()
-        if key < self.best:
-            self.best, self.improved = key, self.rounds
+        count = (moduli > self.threshold).sum(-1).min()
+        if count < self.best:
+            self.best, self.improved = count, self.rounds
 
     def __call__(self) -> bool:
         return self.rounds - self.improved >= _STALL_ROUNDS
@@ -421,12 +413,12 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     normal form on the G_abcd orbits, or at its `_start_frame` where there is
     no magic frame; the random restarts apply random (b, g) to that frame.
 
-    The search is anytime: all restarts end together once the best
-    (count, penalty) over every frame evaluated so far, read from the
-    surrogate's minors, has not fallen for `_STALL_ROUNDS` (450) lock-step
-    rounds.  Each restart's candidate is its own Powell point (the
-    lowest-surrogate point it evaluated, if it was stopped), never the frame
-    that scored best; the best candidate is returned.
+    The search is anytime: all restarts end together once the best font
+    count of every frame evaluated so far, read from the surrogate's minors,
+    has not fallen for `_STALL_ROUNDS` (450) lock-step rounds.  Each
+    restart's candidate is its own Powell point (the lowest-surrogate point
+    it evaluated, if it was stopped), never the frame that scored best; the
+    best candidate, by the full objective, is returned.
 
     Returns (state, trace); trace rows are (step, *objective) for the
     accepted best and never increase: row 0 is the start frame, then one
@@ -448,7 +440,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
         starts[restart] = np.random.default_rng((seed, restart)).uniform(0, 2 * np.pi, 8)
     # Powell's fixed tolerances are moderate; they suffice because the sqrt
     # surrogate keeps shrinking visibly until dets sit well below `tol`
-    stall = _Stall(tol, has_four_body)
+    stall = _Stall(tol)
     result = minimize(lambda thetas: _surrogate(amps, thetas, stall.watch), starts,
                       maxiter=iters, stop=stall)
     vecs = _rotated_amps(amps, result.x)

@@ -6,8 +6,12 @@ stream and trial, the catalog targets GHZ4 and W4 (4 restarts) and C1 (16
 restarts), then the Haar states `random_state(4, seed)` for seeds 1, 2 and 3
 (16 restarts), are scrambled with `scramble_special(state, (stream, target,
 trial))` and searched by `font_minimize` at `iters=60` and `seed=trial`.
-Restart 0 wins every search of the catalog targets; on the Haar states the
-random restarts win too, so a change to them shows here.
+Then Psi_a(1) and GHZ3 x |0>, two states off the G_abcd orbits, are searched
+the same way at 16 restarts.  Restart 0 wins every search of the catalog
+targets; on the Haar states the random restarts win too, so a change to them
+shows here.  The last two start from `_start_frame`, where the swept input
+rather than its eigenframe is the start in 9 and 37 of their 48 scrambles at
+`--streams 8101 8111`, so a change to the start candidates shows here.
 
     PYTHONPATH=src python3 tests/search_digest.py --trials 24 --streams 8101 8111
 
@@ -21,8 +25,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 
+import numpy as np
+
 from helpers import scramble_special
-from negfonts import catalog_state, font_minimize, normalize, random_state
+from negfonts import catalog_state, font_minimize, make_state, normalize, random_state
 
 TARGETS = (("GHZ4", 4), ("W4", 4), ("C1", 16))
 HAAR_SEEDS = (1, 2, 3)
@@ -33,6 +39,8 @@ def search_digest(streams, trials: int) -> str:
     digest = hashlib.sha256()
     bases = [(normalize(catalog_state(name)), restarts) for name, restarts in TARGETS]
     bases += [(random_state(4, seed), 16) for seed in HAAR_SEEDS]
+    ghz3_0 = make_state(4, np.kron(catalog_state("GHZ3").amps, np.eye(2)[0]))
+    bases += [(normalize(state), 16) for state in (catalog_state("Psi_a", {"a": 1}), ghz3_0)]
     for stream in streams:
         for k, (base, restarts) in enumerate(bases):
             for trial in range(trials):

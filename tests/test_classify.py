@@ -393,9 +393,9 @@ def test_classify_counts_the_frame_font_minimize_returns():
             assert (sig.n2, sig.n3, sig.n4) == (counts[2], counts[3], counts[4]), (name, t)
 
 
-def test_stall_key_is_count_and_penalty_of_scores():
-    # the stop hook ranks frames by the first two `_scores` fields, read from
-    # the surrogate's moduli; coarse tolerances give sparse counts
+def test_stall_count_is_the_font_count_of_scores():
+    # the stop hook counts each frame's surrogate moduli above its threshold,
+    # which must be the first `_scores` field; coarse tolerances give sparse counts
     rng = np.random.default_rng(5311)
     states = [normalize(catalog_state(name)) for name in ("GHZ4", "W4", "C1")]
     states.append(random_state(4, 5311))
@@ -403,16 +403,15 @@ def test_stall_key_is_count_and_penalty_of_scores():
         thetas = rng.uniform(0, 2 * np.pi, (16, 8))
         thetas[::2, ::2] = 0.0              # some frames keep the sparse catalog form
         frames = _rotated_amps(state.amps, thetas)
+        seen = []
+        values = classify_module._surrogate(state.amps, thetas, seen.append)
+        np.testing.assert_array_equal(values, classify_module._surrogate(state.amps, thetas))
         for tol in (1e-9, 1e-3, 0.05):
-            for has_four_body in (False, True):
-                stall = classify_module._Stall(tol, has_four_body)
-                seen = []
-                values = classify_module._surrogate(state.amps, thetas, seen.append)
-                np.testing.assert_array_equal(
-                    values, classify_module._surrogate(state.amps, thetas))
-                keys = stall.keys[(seen[0] > stall.threshold) @ stall.weights]
-                scores = classify_module._scores(frames, tol, has_four_body)
-                np.testing.assert_array_equal(keys, 2 * scores[:, 0] + scores[:, 1])
+            stall = classify_module._Stall(tol)
+            stall.watch(seen[0])
+            counts = classify_module._scores(frames, tol, False)[:, 0]
+            np.testing.assert_array_equal((seen[0] > stall.threshold).sum(-1), counts)
+            assert (stall.best, stall.improved) == (counts.min(), 1)
 
 
 def test_font_search_stops_once_its_best_count_stalls(monkeypatch):

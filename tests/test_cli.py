@@ -11,6 +11,7 @@ import pytest
 from negfonts import (aggregate_invariants, catalog_state, make_state, normalize,
                       random_state)
 from negfonts.cli import main
+from negfonts.errors import ParseError
 from negfonts.stateio import read_state_file, write_state_file
 
 
@@ -126,6 +127,18 @@ def test_invariants_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "invariants", "--in", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text, line", (("n x\n0000 1\n", 1), ("n 4\n0000 nan 0\n", 2)))
+def test_invariants_bad_header_or_number_exit_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    with pytest.raises(ParseError):
+        read_state_file(str(bad))
+    code, out, err = run(capsys, "invariants", "--in", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"line {line}" in err
 
 
 def test_invariants_unsupported_arity_exit_4(tmp_path, capsys):

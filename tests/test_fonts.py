@@ -137,6 +137,11 @@ def test_d3_known_values():
     assert d3(psi_a, (1, 2, 3), 0, 0) == pytest.approx(1.0)
 
 
+def test_d3_rejects_a_triple_without_qubits_1_and_2():
+    with pytest.raises(SpecMismatch):
+        d3(random_state(4, 7), (1, 3, 4), 0, 0)
+
+
 def test_named_accessors_require_four_qubits():
     s = random_state(3, 1)
     for fn, args in ((d2, (0, 0)), (d3, ((1, 2, 3), 0, 0)), (d4, (0, 0))):

@@ -215,6 +215,12 @@ def test_aggregate_known_values():
     assert dicke.tau48 == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_report_headline_is_the_triple_that_singles_qubit_4():
+    for state in (random_state(4, 17), normalize(catalog_state("BrownPhi"))):
+        report, triple = aggregate_invariants(state), triple_invariants(state, 4)
+        assert (report.j12, report.delta24) == (triple.j12, triple.delta24)
+
+
 def test_cross_triple_i48_agreement():
     # empirically the degree-8 invariant does not depend on the singled qubit
     for trial in range(30):

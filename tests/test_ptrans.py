@@ -159,6 +159,11 @@ def test_eigenvalues_reject_a_finite_non_hermitian_matrix():
         hermitian_eigenvalues(m)
 
 
+def test_eigenvalues_reject_a_non_square_matrix():
+    with pytest.raises(NotHermitian, match="square"):
+        hermitian_eigenvalues(np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("scale", (1e4, 1e-4))
 def test_kway_spectra_scale_with_the_state(scale):
     # the Hermiticity check is relative, so an unnormalized state's transposes

@@ -121,6 +121,18 @@ def test_apply_errors():
         local_unitary(np.array([[1, 1], [0, 1]]), qubit=1)
 
 
+def test_typed_errors_of_normalize_local_unitary_and_inner():
+    # a state built directly skips `make_state`'s checks; normalize still refuses it
+    with pytest.raises(ZeroVector):
+        normalize(PureState(4, np.zeros(16, dtype=complex)))
+    with pytest.raises(NonUnitary, match="2x2"):
+        local_unitary(np.eye(3), 1)
+    with pytest.raises(NonUnitary, match="determinant"):
+        local_unitary(np.diag([1, -1]), 1, special=True)
+    with pytest.raises(DimensionMismatch):
+        inner(random_state(2, 3), random_state(3, 3))
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 @pytest.mark.parametrize("entry", range(4))
 def test_non_finite_matrices_are_not_unitary(bad, entry):
