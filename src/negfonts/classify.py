@@ -390,11 +390,9 @@ def _magic_frame(amps: np.ndarray, has_four_body: bool, tol: float) -> np.ndarra
 
 def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
                   seed: int = 0, tol: float = DEFAULT_TOL):
-    """Best-effort search for a local-unitary frame with the fewest nonzero fonts.
+    """A local-unitary frame with the fewest nonzero fonts, exact or best-effort.
 
-    Derivative-free Powell search over the eight Euler angles that can change
-    the objective, (b, g) of Ry(b) Rz(g) on each qubit, from `restarts` starts
-    run in lock-step.  The accepted objective is lexicographic over the
+    The frame is ranked by an objective that is lexicographic over the
     canonical fonts of qubit 1:
 
         (count above tolerance,
@@ -406,32 +404,57 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
     the consistency flag and the product-term count pick the one that can be
     canonical.
 
-    The search runs on the state's direction: every input, unit or not, is
-    normalized, so `classify` and a direct call search the same unit vector.
-    Tolerances are absolute on that vector, and the frame is returned
-    normalized.  Restart 0 starts at `_magic_frame` of that vector, the exact
-    normal form on the G_abcd orbits, or at its `_start_frame` where there is
-    no magic frame; the random restarts apply random (b, g) to that frame.
+    Every input, unit or not, is normalized, so `classify` and a direct call
+    work on the same unit vector.  Tolerances are absolute on that vector,
+    and the frame is returned normalized.
 
-    The search is anytime: all restarts end together once the best font
-    count of every frame evaluated so far, read from the surrogate's minors,
-    has not fallen for `_STALL_ROUNDS` (450) lock-step rounds.  Each
-    restart's candidate is its own Powell point (the lowest-surrogate point
-    it evaluated, if it was stopped), never the frame that scored best; the
-    best candidate, by the full objective, is returned.
+    On the G_abcd orbits the answer is `_magic_frame` of that vector, the
+    exact magic-basis normal form, and no search runs: its counts are the
+    normal form's counts.  `restarts`, `iters` and `seed` are still
+    validated, but they only steer the search off those orbits.
+
+    Off them, a derivative-free Powell search runs over the eight Euler
+    angles that can change the objective, (b, g) of Ry(b) Rz(g) on each
+    qubit, from `restarts` starts run in lock-step.  Restart 0 starts at
+    `_start_frame` of the vector; the random restarts apply random (b, g) to
+    that frame.  The search is anytime: all restarts end together once the
+    best font count of every frame evaluated so far, read from the
+    surrogate's minors, has not fallen for `_STALL_ROUNDS` (450) lock-step
+    rounds.  Each restart's candidate is its own Powell point (the
+    lowest-surrogate point it evaluated, if it was stopped), never the frame
+    that scored best; the best candidate, by the full objective, is returned.
 
     Returns (state, trace); trace rows are (step, *objective) for the
     accepted best and never increase: row 0 is the start frame, then one
-    row per restart, so the last row is the returned frame's objective.
+    row per restart, so the last row is the returned frame's objective.  On
+    the G_abcd orbits all 1 + `restarts` rows are the magic frame's.
     """
     check_arity(state, 4, "font_minimize")
     _check_budget(seed, restarts, iters)
     check_tolerance(tol)
     unit = normalize(state)
     has_four_body = bool(abs(i48(unit)) > tol)
-    amps = _magic_frame(unit.amps, has_four_body, tol)
-    if amps is None:
-        amps = _start_frame(unit.amps, has_four_body)
+    best_vec = _magic_frame(unit.amps, has_four_body, tol)
+    if best_vec is not None:
+        best = _row(_scores(best_vec, tol, has_four_body))
+        trace = [(step, *best) for step in range(1 + restarts)]
+    else:
+        best_vec, trace = _search(_start_frame(unit.amps, has_four_body), has_four_body,
+                                  restarts, iters, seed, tol)
+
+    final = np.array(best_vec)
+    final.setflags(write=False)
+    minimized = PureState(4, final)
+    drift = np.max(np.abs(_invariant_fingerprint(minimized)
+                          - _invariant_fingerprint(unit)))
+    if drift > 1e-8:
+        raise SearchDrift(f"font minimization drifted an invariant by {drift:.3e}")
+    return minimized, trace
+
+
+def _search(amps: np.ndarray, has_four_body: bool, restarts: int, iters: int,
+            seed: int, tol: float):
+    """The lock-step Powell search from frame `amps`: (best frame, trace)."""
     best_vec = amps
     best = _row(_scores(amps, tol, has_four_body))
     trace = [(0, *best)]
@@ -450,15 +473,7 @@ def font_minimize(state: PureState, restarts: int = 32, iters: int = 400,
             best = candidate
             best_vec = vec
         trace.append((restart + 1, *best))
-
-    final = np.array(best_vec)
-    final.setflags(write=False)
-    minimized = PureState(4, final)
-    drift = np.max(np.abs(_invariant_fingerprint(minimized)
-                          - _invariant_fingerprint(unit)))
-    if drift > 1e-8:
-        raise SearchDrift(f"font minimization drifted an invariant by {drift:.3e}")
-    return minimized, trace
+    return best_vec, trace
 
 
 # ---------------------------------------------------------------------------

@@ -377,10 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="assign a 4-qubit state to a major class")
     add_common(p_cls)
     p_cls.add_argument("--font-min", action="store_true",
-                       help="search for a font-minimal frame before counting")
-    p_cls.add_argument("--seed", type=int, default=0)
-    p_cls.add_argument("--restarts", type=int, default=32)
-    p_cls.add_argument("--iters", type=int, default=400)
+                       help="count in a font-minimal frame: on G_abcd orbits the "
+                            "magic-basis normal form, elsewhere the best frame a "
+                            "Powell search finds")
+    budget = "; validated always, used only by the search off the G_abcd orbits"
+    p_cls.add_argument("--seed", type=int, default=0,
+                       help="seed of the search's random restarts (default 0)" + budget)
+    p_cls.add_argument("--restarts", type=int, default=32,
+                       help="lock-step Powell starts (default 32)" + budget)
+    p_cls.add_argument("--iters", type=int, default=400,
+                       help="Powell iterations per start (default 400)" + budget)
     p_cls.set_defaults(func=cmd_classify)
 
     p_neg = sub.add_parser("negativity", help="trace-norm negativities per qubit")

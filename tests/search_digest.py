@@ -13,6 +13,10 @@ shows here.  The last two start from `_start_frame`, where the swept input
 rather than its eigenframe is the start in 9 and 37 of their 48 scrambles at
 `--streams 8101 8111`, so a change to the start candidates shows here.
 
+The first line is the digest over every search; one line per target
+follows, over that target's searches alone, so a change that is meant to
+move some targets can show that the others ran alike.
+
     PYTHONPATH=src python3 tests/search_digest.py --trials 24 --streams 8101 8111
 
 Point PYTHONPATH at another checkout's `src` to digest that commit.
@@ -35,21 +39,25 @@ HAAR_SEEDS = (1, 2, 3)
 ITERS = 60
 
 
-def search_digest(streams, trials: int) -> str:
+def search_digests(streams, trials: int) -> tuple[str, dict[str, str]]:
+    """The digest over every search, and one per target."""
     digest = hashlib.sha256()
-    bases = [(normalize(catalog_state(name)), restarts) for name, restarts in TARGETS]
-    bases += [(random_state(4, seed), 16) for seed in HAAR_SEEDS]
+    bases = [(name, normalize(catalog_state(name)), restarts) for name, restarts in TARGETS]
+    bases += [(f"random_state(4, {seed})", random_state(4, seed), 16) for seed in HAAR_SEEDS]
     ghz3_0 = make_state(4, np.kron(catalog_state("GHZ3").amps, np.eye(2)[0]))
-    bases += [(normalize(state), 16) for state in (catalog_state("Psi_a", {"a": 1}), ghz3_0)]
+    bases += [(name, normalize(state), 16) for name, state in
+              (("Psi_a(1)", catalog_state("Psi_a", {"a": 1})), ("GHZ3 x |0>", ghz3_0))]
+    targets = {name: hashlib.sha256() for name, _, _ in bases}
     for stream in streams:
-        for k, (base, restarts) in enumerate(bases):
+        for k, (name, base, restarts) in enumerate(bases):
             for trial in range(trials):
                 state = scramble_special(base, (stream, k, trial))
                 frame, trace = font_minimize(state, restarts=restarts, iters=ITERS,
                                              seed=trial)
-                digest.update(frame.amps.tobytes())
-                digest.update(repr(trace).encode())
-    return digest.hexdigest()
+                for h in (digest, targets[name]):
+                    h.update(frame.amps.tobytes())
+                    h.update(repr(trace).encode())
+    return digest.hexdigest(), {name: h.hexdigest() for name, h in targets.items()}
 
 
 def main(argv=None) -> None:
@@ -59,7 +67,10 @@ def main(argv=None) -> None:
     parser.add_argument("--streams", type=int, nargs="+", default=[8101],
                         help="scramble seed streams (default 8101)")
     args = parser.parse_args(argv)
-    print(search_digest(args.streams, args.trials))
+    total, targets = search_digests(args.streams, args.trials)
+    print(total)
+    for name, hexdigest in targets.items():
+        print(f"  {name}: {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -367,8 +367,8 @@ def test_c2_search_needs_the_gauge_and_the_clifford_moves():
     # these scrambles of C2 ended at (n2, n3, n4) = (2, 2, 0) with penalty 1,
     # read as class I, when the Powell search started from `_start_frame`
     # alone; a phase gauge and single-qubit Clifford moves after the search
-    # rescued them.  C2 lies on the G_abcd orbits, so the search now starts
-    # from its magic-basis frame, (2, 0, 2), and needs neither
+    # rescued them.  C2 lies on the G_abcd orbits, so its answer is now its
+    # magic-basis frame, (2, 0, 2), with no search, and needs neither
     base = normalize(catalog_state("C2"))
     for trial in (1, 7, 14, 17):
         scrambled = scramble_special(base, (9941, 13, trial))
@@ -425,7 +425,8 @@ def test_font_search_stops_once_its_best_count_stalls(monkeypatch):
 
     monkeypatch.setattr(classify_module, "minimize", spy)
     patience = classify_module._STALL_ROUNDS
-    scrambled = scramble_special(normalize(catalog_state("GHZ4")), (5303, 99))
+    # W4 has no magic-basis frame, so its search runs Powell
+    scrambled = scramble_special(normalize(catalog_state("W4")), (5303, 99))
     minimized, _ = font_minimize(scrambled, restarts=4, iters=60, seed=1)
     monkeypatch.setattr(classify_module, "_STALL_ROUNDS", math.inf)
     unstopped, _ = font_minimize(scrambled, restarts=4, iters=60, seed=1)
@@ -435,7 +436,46 @@ def test_font_search_stops_once_its_best_count_stalls(monkeypatch):
     assert stopped.rounds < full.rounds
     assert stopped.nfev < full.nfev
     for state in (minimized, unstopped):
-        assert [count_nonzero_fonts(state, 1, k) for k in (4, 3, 2)] == [1, 0, 0]
+        assert [count_nonzero_fonts(state, 1, k) for k in (4, 3, 2)] == [0, 0, 3]
+
+
+def _counting_minimize(monkeypatch):
+    calls = []
+    real = classify_module.minimize
+
+    def spy(*args, **options):
+        calls.append(1)
+        return real(*args, **options)
+
+    monkeypatch.setattr(classify_module, "minimize", spy)
+    return calls
+
+
+def test_g_orbit_states_take_their_magic_frame_with_no_search(monkeypatch):
+    # on the G_abcd orbits the magic-basis normal form is the answer; Powell
+    # used to run on from it and sometimes left it for a class-I frame
+    calls = _counting_minimize(monkeypatch)
+    targets = [("GHZ4", None), ("C1", None), ("C2", None), ("Dicke42", None),
+               ("G_abcd", {"a": 1, "b": 2, "c": 3, "d": 5}), ("BrownPhi", None)]
+    for idx, (name, params) in enumerate(targets):
+        for trial in range(3):
+            state = scramble_special(normalize(catalog_state(name, params)), (5419, idx, trial))
+            frame, trace = font_minimize(state, restarts=4, iters=60, seed=trial)
+            unit = normalize(state)
+            has_four_body = bool(abs(classify_module.i48(unit)) > 1e-9)
+            magic = classify_module._magic_frame(unit.amps, has_four_body, 1e-9)
+            assert frame.amps.tobytes() == magic.tobytes(), (name, trial)
+            assert trace == [(step, *trace[0][1:]) for step in range(5)], (name, trial)
+    assert not calls
+
+
+def test_states_off_the_g_orbits_search_once(monkeypatch):
+    calls = _counting_minimize(monkeypatch)
+    ghz3_zero = make_state(4, np.kron(catalog_state("GHZ3").amps, np.eye(2)[0]))
+    for idx, base in enumerate((normalize(catalog_state("W4")), ghz3_zero)):
+        state = scramble_special(base, (5419, 9, idx))
+        font_minimize(state, restarts=4, iters=60, seed=idx)
+        assert len(calls) == idx + 1
 
 
 def test_font_minimize_trace_layout():
